@@ -75,7 +75,7 @@ func main() {
 		dims           = flag.Int("dims", 20, "fingerprint dimension (live mode)")
 		order          = flag.Int("order", 8, "bits per component (live mode)")
 		addr           = flag.String("addr", ":8080", "listen address")
-		depth          = flag.Int("depth", 0, "partition depth p (0 = auto)")
+		depth          = flag.Int("depth", 0, "partition depth p (0 = auto); at most 63 (the planner's 64-bit node ids) and the curve's K*D index bits")
 		shards         = flag.Int("shards", 0, "keyspace shards (0 = file manifest or 1)")
 		workers        = flag.Int("workers", 0, "engine worker bound (0 = GOMAXPROCS)")
 		maxInFlight    = flag.Int("max-inflight", 0, "concurrent searches bound (0 = default, <0 = unlimited)")

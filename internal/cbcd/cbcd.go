@@ -228,13 +228,24 @@ func (d *Detector) SearchLocalsCtx(ctx context.Context, locals []fingerprint.Loc
 	if err != nil {
 		return nil, err
 	}
+	// One buffer holds every candidate's matches; each candidate gets a
+	// capacity-capped window of it.
+	total := 0
+	for _, ms := range results {
+		total += len(ms)
+	}
+	flat := make([]vote.Match, 0, total)
 	cands := make([]vote.Candidate, len(locals))
 	for i, l := range locals {
-		c := vote.Candidate{TC: l.TC, X: l.X, Y: l.Y}
-		for _, m := range results[i] {
-			c.Matches = append(c.Matches, vote.Match{ID: m.ID, TC: m.TC, X: m.X, Y: m.Y})
+		cands[i] = vote.Candidate{TC: l.TC, X: l.X, Y: l.Y}
+		if len(results[i]) == 0 {
+			continue
 		}
-		cands[i] = c
+		lo := len(flat)
+		for _, m := range results[i] {
+			flat = append(flat, vote.Match{ID: m.ID, TC: m.TC, X: m.X, Y: m.Y})
+		}
+		cands[i].Matches = flat[lo:len(flat):len(flat)]
 	}
 	return cands, nil
 }

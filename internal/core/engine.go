@@ -139,7 +139,7 @@ func (e *Engine) EnablePlanCache(entries int) {
 // queries: enable before serving.
 func (e *Engine) EnableAutoTune(opt AutoTuneOptions) {
 	opt.Enabled = true
-	e.tuner = newAutoTuner(opt, e.ix.defaultTuning(), 1, e.ix.curve.IndexBits())
+	e.tuner = newAutoTuner(opt, e.ix.defaultTuning(), 1, maxDepth(e.ix.curve))
 }
 
 // tuning resolves the parameters the next plan runs at: the tuner's
@@ -520,7 +520,7 @@ func (e *Engine) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]M
 	e.met.inflight.Add(1)
 	defer e.met.inflight.Add(-1)
 	t0 := time.Now()
-	m, st, err := e.ix.SearchKNN(q, k, maxLeaves)
+	m, st, err := searchKNNSource(ctx, e.ix.curve, e.ix.depth, e.ix.db, q, k, maxLeaves, nil)
 	if err != nil {
 		return nil, KNNStats{}, err
 	}
@@ -609,7 +609,7 @@ func (e *Engine) SearchKNNBatch(ctx context.Context, queries [][]byte, k, maxLea
 	results := make([][]Match, len(queries))
 	stats := make([]KNNStats, len(queries))
 	err := forEach(ctx, e.workers, len(queries), nil, func(_ *struct{}, i int) error {
-		m, st, err := e.ix.SearchKNN(queries[i], k, maxLeaves)
+		m, st, err := searchKNNSource(ctx, e.ix.curve, e.ix.depth, e.ix.db, queries[i], k, maxLeaves, nil)
 		if err != nil {
 			return fmt.Errorf("query %d: %w", i, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"s3cbcd/internal/hilbert"
@@ -13,8 +14,9 @@ import (
 // selects are monotone in t: lowering t only expands nodes an earlier
 // descent pruned, and raising t only discards already-discovered leaves.
 // So one materialized descent suffices. The first evaluation records
-// every pruned node with its mass and enough resumable state to continue
-// below it; evaluations at lower thresholds pop and expand exactly the
+// every pruned node with its mass and its 64-bit node id, from which the
+// descent replays the node's bounds and curve state to continue below
+// it; evaluations at lower thresholds pop and expand exactly the
 // frontier nodes whose mass now clears the threshold; evaluations at
 // higher thresholds touch no curve state at all — they filter the
 // accumulated leaf list by stored block mass.
@@ -28,38 +30,35 @@ import (
 // masses are summed in curve order exactly as a single descent would have
 // emitted them.
 
-// frontierLeaf is one discovered depth-p block.
-type frontierLeaf struct {
-	iv   hilbert.Interval
-	mass float64 // the block's own mass (the visitor product at the leaf)
+// frontierNode is one discovered depth-p block (a leaf) or one pruned
+// node awaiting possible expansion (a frontier entry). Either is named by
+// its partition-tree id alone: a leaf's curve interval follows from the
+// id, and a frontier entry's bounds and curve state are replayed from it
+// on expansion. At 24 bytes, the state of a large plan stays small.
+type frontierNode struct {
+	id hilbert.NodeID
+	// mass is the node's running product: a leaf's own block mass, a
+	// frontier entry's prune decision value.
+	mass float64
 	// gate is the minimum running product along the root path, including
-	// the leaf itself. A single descent at threshold t emits this leaf
-	// iff every product on the path exceeds t, i.e. iff gate > t. For a
+	// the node itself. A single descent at threshold t emits a leaf iff
+	// every product on the path exceeds t, i.e. iff gate > t. For a
 	// numerically monotone model gate == mass; carrying it separately
 	// keeps the planner exact even when rounding makes a child product a
 	// few ulps above its parent's.
 	gate float64
 }
 
-// frontierEntry is a pruned node awaiting possible expansion.
-type frontierEntry struct {
-	node hilbert.Node
-	mass float64 // the node's running product (its prune decision value)
-	gate float64 // min running product along the root path, incl. the node
-	off  int     // offset of the node's bounds in the bounds arena; -1 = root
-}
-
 // frontierState is the reusable per-worker state of the incremental
 // planner: the discovered leaves (curve order), the frontier of pruned
 // nodes (unordered — every evaluation expands ALL entries above its
-// threshold, so no priority structure earns its keep), arena storage for
-// node bounds, and the live visitor bookkeeping used during expansions.
-// All of it resets by reslicing, so a pooled frontierState plans query
-// after query without allocating.
+// threshold, so no priority structure earns its keep), and the live
+// visitor bookkeeping used during expansions. All of it resets by
+// reslicing, so a pooled frontierState plans query after query without
+// allocating.
 type frontierState struct {
 	curve *hilbert.Curve
 	fd    *hilbert.FrontierDescent
-	root  hilbert.Node
 
 	// Per-query bindings.
 	depth int
@@ -75,15 +74,15 @@ type frontierState struct {
 	stack   []frontierFrame
 	nodes   int // Enter calls this query (descent nodes visited)
 
-	// Prune handoff between Enter (which rejects) and the pruned
-	// callback (which materializes the rejected child).
+	// Prune handoff between Enter (which rejects) and Pruned (which
+	// records the rejected child).
 	pruneMass float64
 
-	leaves   []frontierLeaf // discovered leaves, sorted by iv.Start
-	scratch  []frontierLeaf // merge double-buffer
-	pending  []frontierLeaf // leaves emitted by the current eval's expansions
-	frontier []frontierEntry
-	bounds   []uint32 // arena backing frontier node Lo/Hi
+	leaves   []frontierNode // discovered leaves, sorted by id
+	scratch  []frontierNode // merge double-buffer
+	pending  []frontierNode // leaves emitted by the current eval's expansions
+	frontier []frontierNode
+	batch    []frontierNode // the frontier nodes the current eval expands
 	ivs      []hilbert.Interval
 
 	// alias makes intervalsAt skip its defensive copy: the produced
@@ -92,9 +91,6 @@ type frontierState struct {
 	// one caller whose contract documents the aliasing — keeping the
 	// untraced pooled plan path allocation-free.
 	alias bool
-
-	// pruned is prunedCB bound once at construction (see newFrontierState).
-	pruned func(hilbert.Node)
 }
 
 type frontierFrame struct {
@@ -105,16 +101,11 @@ type frontierFrame struct {
 }
 
 func newFrontierState(curve *hilbert.Curve) *frontierState {
-	s := &frontierState{
+	return &frontierState{
 		curve:   curve,
 		fd:      curve.NewFrontierDescent(),
-		root:    curve.RootNode(),
 		factors: make([]float64, curve.Dims()),
 	}
-	// Bind the pruned callback once: a method value created at the call
-	// site would allocate on every node expansion.
-	s.pruned = s.prunedCB
-	return s
 }
 
 // begin binds the state to one query and seeds the frontier with the
@@ -126,10 +117,13 @@ func (s *frontierState) begin(depth int, m Model, q []float64, mc *massCache) {
 	s.scratch = s.scratch[:0]
 	s.pending = s.pending[:0]
 	s.frontier = s.frontier[:0]
-	s.bounds = s.bounds[:0]
 	s.ivs = s.ivs[:0]
 	s.nodes = 0
-	s.frontier = append(s.frontier, frontierEntry{node: s.root, mass: 1, gate: 1, off: -1})
+	s.frontier = append(s.frontier, frontierNode{id: hilbert.RootID, mass: 1, gate: 1})
+	s.fd.Reset()
+	for j := range s.factors {
+		s.factors[j] = 1
+	}
 }
 
 // expandTo lowers the materialized frontier to threshold t: every
@@ -137,53 +131,67 @@ func (s *frontierState) begin(depth int, m Model, q []float64, mc *massCache) {
 // (at threshold t) exactly as the legacy search would have, emitting new
 // leaves and appending newly pruned nodes. Thresholds at or above every
 // stored mass make this a pure scan — the traversal-free fast path of
-// evaluations that raise t. Entries appended mid-scan were just pruned at
-// t, so the swap-remove sweep never expands them again this round.
+// evaluations that raise t. The nodes to expand are taken out first, so
+// nodes pruned during this round (all at or below t) are never expanded
+// again in it.
+//
+// The expansions run in curve order. The descent then walks from one
+// expanded node to the next along their shared prefix only, and the
+// leaves they emit come out in curve order.
 func (s *frontierState) expandTo(t float64) {
 	s.pending = s.pending[:0]
-	s.t = t
-	side := s.curve.SideLen()
+	s.batch = s.batch[:0]
 	for i := 0; i < len(s.frontier); {
 		if s.frontier[i].mass <= t {
 			i++
 			continue
 		}
-		e := s.frontier[i]
+		s.batch = append(s.batch, s.frontier[i])
 		last := len(s.frontier) - 1
 		s.frontier[i] = s.frontier[last]
 		s.frontier = s.frontier[:last]
-		node := e.node
+	}
+	if len(s.batch) == 0 {
+		return
+	}
+	slices.SortFunc(s.batch, func(a, b frontierNode) int {
+		return cmp.Compare(curveOrder(a.id), curveOrder(b.id))
+	})
+	s.t = t
+	for _, e := range s.batch {
 		// Position the visitor exactly where a from-scratch descent
-		// would be on entering this node: dims the descent has split
-		// carry the mass-cache factor of their current bound (the cache
-		// returns the bitwise value computed when the node was reached),
-		// untouched dims carry the root factor 1.
-		if e.off >= 0 {
-			d := len(s.factors)
-			node.Lo = s.bounds[e.off : e.off+d : e.off+d]
-			node.Hi = s.bounds[e.off+d : e.off+2*d : e.off+2*d]
-			for j := range s.factors {
-				if node.Lo[j] == 0 && node.Hi[j] == side {
-					s.factors[j] = 1
-				} else {
-					s.factors[j] = s.mc.get(s.m, s.q, j, node.Lo[j], node.Hi[j])
-				}
-			}
-		} else {
-			for j := range s.factors {
-				s.factors[j] = 1
-			}
-		}
+		// would be on entering this node: Seek reports every bound it
+		// changes to Move, which keeps each factor equal to the mass of
+		// the dimension's current bound.
+		s.fd.Seek(e.id, s)
 		s.prod, s.gate = e.mass, e.gate
 		s.stack = s.stack[:0]
-		s.fd.Descend(node, s.depth, s, s.pruned)
+		s.fd.Descend(s.depth, s)
 	}
 	if len(s.pending) > 0 {
 		s.mergePending()
 	}
 }
 
-// Enter implements hilbert.StepVisitor with the statistical filtering
+// curveOrder maps a node id to a key that orders disjoint nodes of any
+// depths by their position on the curve: the prefix, left-aligned.
+func curveOrder(id hilbert.NodeID) uint64 {
+	return uint64(id) << uint(hilbert.MaxFrontierDepth-id.Depth())
+}
+
+// Move implements hilbert.FrontierVisitor: a dimension the path has
+// split carries the mass-cache factor of its current bound (the cache
+// returns the bitwise value computed when the node was first reached),
+// an untouched one the root factor 1.
+func (s *frontierState) Move(dim int, lo, hi uint32) {
+	if lo == 0 && hi == s.curve.SideLen() {
+		s.factors[dim] = 1
+	} else {
+		s.factors[dim] = s.mc.get(s.m, s.q, dim, lo, hi)
+	}
+}
+
+// Enter implements hilbert.FrontierVisitor with the statistical filtering
 // rule of statVisitor, additionally tracking the path-minimum product.
 func (s *frontierState) Enter(dim int, lo, hi uint32) bool {
 	s.nodes++
@@ -202,7 +210,7 @@ func (s *frontierState) Enter(dim int, lo, hi uint32) bool {
 	return true
 }
 
-// Leave implements hilbert.StepVisitor.
+// Leave implements hilbert.FrontierVisitor.
 func (s *frontierState) Leave(int) {
 	fr := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
@@ -211,48 +219,39 @@ func (s *frontierState) Leave(int) {
 	s.gate = fr.gate
 }
 
-// Leaf implements hilbert.StepVisitor.
-func (s *frontierState) Leaf(b hilbert.Block) bool {
-	s.pending = append(s.pending, frontierLeaf{
-		iv:   hilbert.Interval{Start: b.Start, End: b.End},
-		mass: s.prod,
-		gate: s.gate,
-	})
+// Leaf implements hilbert.FrontierVisitor.
+func (s *frontierState) Leaf(id hilbert.NodeID) bool {
+	s.pending = append(s.pending, frontierNode{id: id, mass: s.prod, gate: s.gate})
 	return true
 }
 
-// prunedCB materializes a rejected child into the frontier. Nodes whose
-// mass cannot clear even the floor threshold are dropped: the search
-// never evaluates below tFloor, so they are unreachable.
-func (s *frontierState) prunedCB(n hilbert.Node) {
+// Pruned implements hilbert.FrontierVisitor: it records a rejected child
+// in the frontier. Nodes whose mass cannot clear even the floor
+// threshold are dropped: the search never evaluates below tFloor, so
+// they are unreachable.
+func (s *frontierState) Pruned(id hilbert.NodeID) {
 	if s.pruneMass <= tFloor {
 		return
 	}
-	off := len(s.bounds)
-	s.bounds = append(s.bounds, n.Lo...)
-	s.bounds = append(s.bounds, n.Hi...)
 	gate := s.gate
 	if s.pruneMass < gate {
 		gate = s.pruneMass
 	}
-	n.Lo, n.Hi = nil, nil // re-pointed at the arena on expansion
-	s.frontier = append(s.frontier, frontierEntry{node: n, mass: s.pruneMass, gate: gate, off: off})
+	s.frontier = append(s.frontier, frontierNode{id: id, mass: s.pruneMass, gate: gate})
 }
 
 // mergePending folds the current eval's expansion leaves into the sorted
-// leaf list. Pending holds one sorted run per expanded node, runs
-// concatenated in pop (mass) order; every run covers a curve interval
-// disjoint from every other run and every existing leaf (dyadic
-// intervals nest or are disjoint, and the frontier partitions the
-// unexplored remainder), so sorting pending and zipping it with the leaf
-// list restores global curve order.
+// leaf list. The expansions ran in curve order, so pending is sorted, and
+// every expanded node covers a curve interval disjoint from every
+// existing leaf (dyadic intervals nest or are disjoint, and the frontier
+// partitions the unexplored remainder): zipping the two lists restores
+// global curve order.
 func (s *frontierState) mergePending() {
-	slices.SortFunc(s.pending, func(a, b frontierLeaf) int { return a.iv.Start.Cmp(b.iv.Start) })
 	merged := s.scratch[:0]
 	li := 0
 	for pi := range s.pending {
-		start := s.pending[pi].iv.Start
-		for li < len(s.leaves) && s.leaves[li].iv.Start.Less(start) {
+		id := s.pending[pi].id
+		for li < len(s.leaves) && s.leaves[li].id < id {
 			merged = append(merged, s.leaves[li])
 			li++
 		}
@@ -276,23 +275,30 @@ func (s *frontierState) selectAt(t float64) (blocks int, mass float64) {
 }
 
 // intervalsAt returns the merged curve intervals of the selection at t.
-// Unless s.alias is set the result is freshly allocated: plans outlive
-// the pooled state.
+// Leaves share one depth, so two of them are adjacent on the curve iff
+// their ids are consecutive: runs merge on ids, and each run becomes one
+// key interval. Unless s.alias is set the result is freshly allocated:
+// plans outlive the pooled state.
 func (s *frontierState) intervalsAt(t float64) []hilbert.Interval {
 	s.ivs = s.ivs[:0]
-	for i := range s.leaves {
-		if s.leaves[i].gate > t {
-			s.ivs = append(s.ivs, s.leaves[i].iv)
+	for i := 0; i < len(s.leaves); i++ {
+		if !(s.leaves[i].gate > t) {
+			continue
 		}
+		first, last := s.leaves[i].id, s.leaves[i].id
+		for i+1 < len(s.leaves) && s.leaves[i+1].id == last+1 && s.leaves[i+1].gate > t {
+			i++
+			last++
+		}
+		s.ivs = append(s.ivs, s.curve.IDSpan(first, last))
 	}
-	merged := hilbert.MergeIntervals(s.ivs)
-	if len(merged) == 0 {
+	if len(s.ivs) == 0 {
 		return nil // matches the legacy planner's empty result exactly
 	}
 	if s.alias {
-		return merged
+		return s.ivs
 	}
-	out := make([]hilbert.Interval, len(merged))
-	copy(out, merged)
+	out := make([]hilbert.Interval, len(s.ivs))
+	copy(out, s.ivs)
 	return out
 }

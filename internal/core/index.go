@@ -53,6 +53,24 @@ type Index struct {
 	db *store.DB
 }
 
+// MaxDepth is the deepest partition depth the planner supports: the
+// frontier planner names partition-tree nodes by 64-bit ids
+// (hilbert.MaxFrontierDepth). It is far beyond any useful depth — p is
+// about log2 of the record count.
+const MaxDepth = hilbert.MaxFrontierDepth
+
+// maxDepth returns the deepest valid partition depth on curve.
+func maxDepth(curve *hilbert.Curve) int { return min(curve.IndexBits(), MaxDepth) }
+
+// checkDepth rejects a partition depth outside [1, maxDepth(curve)].
+func checkDepth(curve *hilbert.Curve, p int) error {
+	if p < 1 || p > maxDepth(curve) {
+		return fmt.Errorf("core: depth %d outside [1,%d] (index bits %d, planner limit %d)",
+			p, maxDepth(curve), curve.IndexBits(), MaxDepth)
+	}
+	return nil
+}
+
 // DefaultDepth returns the heuristic initial partition depth for n
 // records: enough blocks that a block holds a handful of records. The
 // paper learns the optimal p at the start of the retrieval stage
@@ -65,10 +83,7 @@ func DefaultDepth(curve *hilbert.Curve, n int) int {
 	if p < 1 {
 		p = 1
 	}
-	if max := curve.IndexBits(); p > max {
-		p = max
-	}
-	return p
+	return min(p, maxDepth(curve))
 }
 
 // NewIndex wraps a database. depth <= 0 selects DefaultDepth.
@@ -77,8 +92,8 @@ func NewIndex(db *store.DB, depth int) (*Index, error) {
 	if depth <= 0 {
 		depth = DefaultDepth(curve, db.Len())
 	}
-	if depth > curve.IndexBits() {
-		return nil, fmt.Errorf("core: depth %d exceeds index bits %d", depth, curve.IndexBits())
+	if err := checkDepth(curve, depth); err != nil {
+		return nil, err
 	}
 	return &Index{planner: planner{curve: curve, depth: depth}, db: db}, nil
 }
@@ -86,10 +101,11 @@ func NewIndex(db *store.DB, depth int) (*Index, error) {
 // DB returns the underlying database.
 func (ix *Index) DB() *store.DB { return ix.db }
 
-// SetDepth changes the partition depth. It panics outside [1, K*D].
+// SetDepth changes the partition depth. It panics outside
+// [1, min(K*D, MaxDepth)].
 func (pl *planner) SetDepth(p int) {
-	if p < 1 || p > pl.curve.IndexBits() {
-		panic(fmt.Sprintf("core: depth %d outside [1,%d]", p, pl.curve.IndexBits()))
+	if err := checkDepth(pl.curve, p); err != nil {
+		panic(err.Error())
 	}
 	pl.depth = p
 }

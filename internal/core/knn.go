@@ -10,6 +10,7 @@ package core
 // and as a general-purpose query for other applications of the index.
 
 import (
+	"context"
 	"s3cbcd/internal/hilbert"
 )
 
@@ -78,7 +79,7 @@ func (ix *Index) SearchKNN(q []byte, k int, maxLeaves int) ([]Match, KNNStats, e
 // segments; an in-memory DB never fails, so the error is always the
 // argument validation's.
 func (ix *Index) SearchKNNFilter(q []byte, k int, maxLeaves int, keep func(id uint32) bool) ([]Match, KNNStats, error) {
-	return searchKNNSource(ix.curve, ix.depth, ix.db, q, k, maxLeaves, keep)
+	return searchKNNSource(context.Background(), ix.curve, ix.depth, ix.db, q, k, maxLeaves, keep)
 }
 
 // nodeDistSq is the squared distance from q to the nearest integer grid

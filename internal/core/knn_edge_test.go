@@ -6,6 +6,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"s3cbcd/internal/hilbert"
@@ -242,4 +244,70 @@ func TestLiveSearchKNNEdgeCases(t *testing.T) {
 		t.Fatalf("k > n over segments: %d matches (exact %v), want 3 exact", len(ms), stats.Exact)
 	}
 	assertSortedByDist(t, ms, "live k > n")
+}
+
+// A k far beyond the record count must neither size the result heap
+// nor change the answer: every record, nearest first. (k = 2^40 used to
+// preallocate its heap and kill the process.)
+func TestSearchKNNHugeK(t *testing.T) {
+	recs := []store.Record{
+		{FP: []byte{1, 1, 1, 1}, ID: 1, TC: 1},
+		{FP: []byte{8, 8, 8, 8}, ID: 2, TC: 2},
+		{FP: []byte{30, 30, 30, 30}, ID: 3, TC: 3},
+	}
+	ix := knnTestIndex(t, recs)
+	const k = 1 << 40
+	ms, _, err := ix.SearchKNN([]byte{1, 1, 1, 1}, k, 0)
+	if err != nil || len(ms) != len(recs) {
+		t.Fatalf("exact k-NN with k = 2^40: %d matches, err %v", len(ms), err)
+	}
+	model := IsoNormal{D: liveTestDims, Sigma: 2}
+	if ms, _, err := ix.SearchKNNProb([]byte{1, 1, 1, 1}, k, 0.9, model); err != nil || len(ms) > len(recs) {
+		t.Fatalf("probabilistic k-NN with k = 2^40: %d matches, err %v", len(ms), err)
+	}
+}
+
+// cancelingSource cancels a context on its n-th leaf visit.
+type cancelingSource struct {
+	store.RecordSource
+	n      int
+	visits int
+	cancel context.CancelFunc
+}
+
+func (s *cancelingSource) VisitIntervals(ivs []hilbert.Interval, visit func(store.RecordView) bool) error {
+	if s.visits++; s.visits == s.n {
+		s.cancel()
+	}
+	return s.RecordSource.VisitIntervals(ivs, visit)
+}
+
+// An exact traversal notices a context canceled mid-way at its next
+// check and stops there, instead of refining every remaining leaf.
+func TestSearchKNNSourceHonoursContext(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	recs := make([]store.Record, 2000)
+	for i := range recs {
+		recs[i] = randLiveRecord(r)
+	}
+	ix := knnTestIndex(t, recs)
+	q := recs[0].FP
+
+	_, full, err := ix.SearchKNN(q, len(recs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Leaves < 3*knnCheckLeaves {
+		t.Fatalf("full traversal refines %d leaves, too few to abort mid-way", full.Leaves)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelingSource{RecordSource: ix.db, n: 10, cancel: cancel}
+	_, st, err := searchKNNSource(ctx, ix.curve, ix.depth, src, q, len(recs), 0, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled traversal returned err %v", err)
+	}
+	if st.Leaves != knnCheckLeaves {
+		t.Fatalf("canceled at leaf 10, stopped after %d leaves, want the next check at %d", st.Leaves, knnCheckLeaves)
+	}
 }

@@ -450,8 +450,8 @@ type LiveIndex struct {
 // committed snapshot.
 func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveIndex, error) {
 	opt = opt.withDefaults(curve)
-	if opt.Depth > curve.IndexBits() {
-		return nil, fmt.Errorf("core: depth %d exceeds index bits %d", opt.Depth, curve.IndexBits())
+	if err := checkDepth(curve, opt.Depth); err != nil {
+		return nil, err
 	}
 	li := &LiveIndex{pl: planner{curve: curve, depth: opt.Depth}, opt: opt, dir: dir,
 		fs: opt.FS, closedCh: make(chan struct{}), pending: make(map[string]struct{}),
@@ -1696,11 +1696,14 @@ func (li *LiveIndex) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) 
 		if seg.records() == 0 {
 			continue
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, KNNStats{}, err
+		}
 		var keep func(uint32) bool
 		if masked := seg.maskFn(); masked != nil {
 			keep = func(id uint32) bool { return !masked(id) }
 		}
-		ms, st, err := searchKNNSource(li.pl.curve, li.pl.depth, seg.source(), q, k, maxLeaves, keep)
+		ms, st, err := searchKNNSource(ctx, li.pl.curve, li.pl.depth, seg.source(), q, k, maxLeaves, keep)
 		if err != nil {
 			return nil, KNNStats{}, fmt.Errorf("core: refine of segment %s: %w", seg.name, err)
 		}

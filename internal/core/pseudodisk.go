@@ -32,8 +32,8 @@ func NewDiskIndex(file *store.File, depth int) (*DiskIndex, error) {
 	if depth <= 0 {
 		depth = DefaultDepth(curve, file.Count())
 	}
-	if depth > curve.IndexBits() {
-		return nil, fmt.Errorf("core: depth %d exceeds index bits %d", depth, curve.IndexBits())
+	if err := checkDepth(curve, depth); err != nil {
+		return nil, err
 	}
 	return &DiskIndex{planner: planner{curve: curve, depth: depth}, file: file,
 		workers: runtime.GOMAXPROCS(0)}, nil

@@ -12,6 +12,7 @@ package core
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
 
@@ -79,12 +80,18 @@ func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, maske
 	return out, nil
 }
 
+// knnCheckLeaves is how many leaves a k-NN traversal refines between
+// checks of its context.
+const knnCheckLeaves = 64
+
 // searchKNNSource is the k-NN best-first traversal over a record source:
 // blocks of the partition tree are expanded in increasing distance
 // order, leaves refined by visiting their curve interval through the
 // seam. keep, when non-nil, restricts results to accepted video ids.
-// See Index.SearchKNN for the exact/approximate contract.
-func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q []byte, k, maxLeaves int, keep func(id uint32) bool) ([]Match, KNNStats, error) {
+// See Index.SearchKNN for the exact/approximate contract. The traversal
+// checks ctx every knnCheckLeaves leaves and stops with ctx's error once
+// it is canceled or past its deadline.
+func searchKNNSource(ctx context.Context, curve *hilbert.Curve, depth int, src store.RecordSource, q []byte, k, maxLeaves int, keep func(id uint32) bool) ([]Match, KNNStats, error) {
 	if k < 1 {
 		return nil, KNNStats{}, fmt.Errorf("core: k = %d must be >= 1", k)
 	}
@@ -93,7 +100,9 @@ func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q 
 		return nil, KNNStats{}, err
 	}
 	var stats KNNStats
-	best := make(resultHeap, 0, k)
+	// No answer holds more than the source's records: a huge k must not
+	// size the heap.
+	best := make(resultHeap, 0, min(k, src.Len()))
 	kth := func() float64 {
 		if len(best) < k {
 			return math.Inf(1)
@@ -114,6 +123,11 @@ func searchKNNSource(curve *hilbert.Curve, depth int, src store.RecordSource, q 
 		if e.node.Bits >= depth {
 			// Leaf block: refine its records.
 			stats.Leaves++
+			if stats.Leaves%knnCheckLeaves == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, stats, err
+				}
+			}
 			ivbuf[0] = curve.NodeInterval(e.node)
 			if err := src.VisitIntervals(ivbuf, func(rv store.RecordView) bool {
 				if keep != nil && !keep(rv.ID) {

@@ -2,14 +2,16 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"s3cbcd/internal/hilbert"
 )
 
 // massCache memoizes the per-dimension model mass of every dyadic
 // interval a query's descents encounter. Block bounds are always dyadic
-// (they come from repeated halving), so interval (lo, hi) of extent e
-// has the unique id side/e + lo/e in [1, 2*side). The threshold search
+// (they come from repeated halving), so interval (lo, hi) of extent
+// e = 2^k has the unique id side/e + lo/e = (side+lo) >> k in
+// [1, 2*side). The threshold search
 // runs incremental expansions over overlapping node sets; the cache makes
 // the repeats nearly free.
 type massCache struct {
@@ -53,8 +55,7 @@ func (mc *massCache) reset() {
 // fingerprints cannot lie outside the grid, so tail mass belongs to the
 // boundary blocks) and centring unit cells on integer coordinates.
 func (mc *massCache) get(m Model, q []float64, dim int, lo, hi uint32) float64 {
-	e := hi - lo
-	id := mc.side/e + lo/e
+	id := (mc.side + lo) >> bits.TrailingZeros32(hi-lo)
 	idx := dim*int(2*mc.side) + int(id)
 	if mc.gens[idx] == mc.gen {
 		return mc.vals[idx]

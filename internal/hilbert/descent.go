@@ -156,20 +156,10 @@ func (d *descent) walk(prefix bitkey.Key, m int, st state, q int, wp uint64) {
 	}
 	n := uint(d.c.dims)
 	for b := uint64(0); b <= 1; b++ {
-		// Gray bit introduced by this w bit: g[D-1-q] = w[D-1-q] ^ w[D-q].
-		prev := uint64(0)
-		if q > 0 {
-			prev = wp & 1
-		}
-		gbit := b ^ prev
-		posG := n - 1 - uint(q)
-		posL := (posG + st.d + 1) % n // label bit position = dimension
-		lbit := gbit ^ ((st.e >> posL) & 1)
-
-		dim := int(posL)
+		dim, upper := st.split(q, wp, b, n)
 		mid := (d.lo[dim] + d.hi[dim]) / 2
 		savedLo, savedHi := d.lo[dim], d.hi[dim]
-		if lbit == 1 {
+		if upper {
 			d.lo[dim] = mid
 		} else {
 			d.hi[dim] = mid
@@ -182,13 +172,8 @@ func (d *descent) walk(prefix bitkey.Key, m int, st state, q int, wp uint64) {
 			entered = d.keep == nil || d.keep(d.lo, d.hi)
 		}
 		if entered {
-			childPrefix := prefix.Shl(1).OrLowBits(b)
-			if q+1 == int(n) {
-				w := wp<<1 | b
-				d.walk(childPrefix, m+1, st.next(w, n), 0, 0)
-			} else {
-				d.walk(childPrefix, m+1, st, q+1, wp<<1|b)
-			}
+			cst, cq, cwp := st.advance(q, wp, b, n)
+			d.walk(prefix.Shl(1).OrLowBits(b), m+1, cst, cq, cwp)
 			if d.stepV != nil {
 				d.stepV.Leave(dim)
 			}

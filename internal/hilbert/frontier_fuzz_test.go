@@ -38,27 +38,27 @@ func FuzzFrontierResume(f *testing.F) {
 		tFinal := ts[len(ts)-1]
 
 		fd := c.NewFrontierDescent()
-		var frontier []Node
-		capture := func(n Node) {
-			frontier = append(frontier, CopyNode(n, make([]uint32, 2*dims)))
-		}
+		track := newBoundsTracker(c)
+		var frontier []NodeID
+		capture := func(id NodeID) { frontier = append(frontier, id) }
 
 		// Interrupted schedule: descend at ts[0], then resume the live
 		// frontier at each weaker threshold in turn.
 		first := newScoreVisitor(dims, seed, ts[0])
-		fd.Descend(c.RootNode(), depth, first, capture)
+		fd.Descend(depth, frontierScore{first, c, capture})
 		leaves := append([]Interval(nil), first.leaves...)
 		for _, tr := range ts[1:] {
 			pending := frontier
 			frontier = nil
 			for _, n := range pending {
 				v := newScoreVisitor(dims, seed, tr)
-				v.reseed(n, side)
+				fd.Seek(n, track)
+				v.reseed(track.lo, track.hi, side)
 				if v.prod <= tr {
 					frontier = append(frontier, n) // still pruned, keep for later
 					continue
 				}
-				fd.Descend(n, depth, v, capture)
+				fd.Descend(depth, frontierScore{v, c, capture})
 				leaves = append(leaves, v.leaves...)
 			}
 		}
@@ -66,7 +66,8 @@ func FuzzFrontierResume(f *testing.F) {
 
 		// Fresh descent at the final threshold.
 		fresh := newScoreVisitor(dims, seed, tFinal)
-		fd.Descend(c.RootNode(), depth, fresh, nil)
+		fd.Seek(RootID, track)
+		fd.Descend(depth, frontierScore{fresh, c, nil})
 
 		if len(leaves) != len(fresh.leaves) {
 			t.Fatalf("dims=%d order=%d depth=%d seed=%d: resumed %d leaves, fresh %d",

@@ -1,6 +1,8 @@
 package hilbert
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -45,14 +47,14 @@ func newScoreVisitor(dims int, seed uint64, t float64) *scoreVisitor {
 
 // reseed positions the visitor at a resumed node by recomputing the
 // per-dimension factors from the node's bounds.
-func (v *scoreVisitor) reseed(n Node, side uint32) {
+func (v *scoreVisitor) reseed(lo, hi []uint32, side uint32) {
 	v.prod = 1
 	v.stack = v.stack[:0]
 	v.dims = v.dims[:0]
 	for j := range v.factors {
 		f := 1.0
-		if n.Lo[j] != 0 || n.Hi[j] != side {
-			f = hashFactor(j, n.Lo[j], n.Hi[j], v.seed)
+		if lo[j] != 0 || hi[j] != side {
+			f = hashFactor(j, lo[j], hi[j], v.seed)
 		}
 		v.factors[j] = f
 		v.prod *= f
@@ -86,6 +88,47 @@ func (v *scoreVisitor) Leaf(b Block) bool {
 	return true
 }
 
+// boundsTracker follows a frontier descent's Seek moves, holding the
+// current node's bounds.
+type boundsTracker struct {
+	lo, hi []uint32
+}
+
+func newBoundsTracker(c *Curve) *boundsTracker {
+	b := &boundsTracker{lo: make([]uint32, c.Dims()), hi: make([]uint32, c.Dims())}
+	for j := range b.hi {
+		b.hi[j] = c.SideLen()
+	}
+	return b
+}
+
+func (b *boundsTracker) Move(dim int, lo, hi uint32)  { b.lo[dim], b.hi[dim] = lo, hi }
+func (*boundsTracker) Enter(int, uint32, uint32) bool { return true }
+func (*boundsTracker) Leave(int)                      {}
+func (*boundsTracker) Leaf(NodeID) bool               { return true }
+func (*boundsTracker) Pruned(NodeID)                  {}
+
+// frontierScore adapts a scoreVisitor to a frontier descent: leaf ids
+// become curve intervals, and pruned ids go to pruned when it is set.
+type frontierScore struct {
+	*scoreVisitor
+	c      *Curve
+	pruned func(NodeID)
+}
+
+func (f frontierScore) Leaf(id NodeID) bool {
+	f.leaves = append(f.leaves, f.c.IDSpan(id, id))
+	return true
+}
+
+func (f frontierScore) Move(int, uint32, uint32) {}
+
+func (f frontierScore) Pruned(id NodeID) {
+	if f.pruned != nil {
+		f.pruned(id)
+	}
+}
+
 // TestFrontierRootMatchesDescendSteps checks that a frontier descent from
 // the root with no pruning enumerates exactly the DescendSteps leaves.
 func TestFrontierRootMatchesDescendSteps(t *testing.T) {
@@ -98,7 +141,7 @@ func TestFrontierRootMatchesDescendSteps(t *testing.T) {
 
 		got := newScoreVisitor(cfg.dims, 0, -1)
 		fd := c.NewFrontierDescent()
-		fd.Descend(c.RootNode(), cfg.depth, got, nil)
+		fd.Descend(cfg.depth, frontierScore{got, c, nil})
 
 		if len(want.leaves) != len(got.leaves) {
 			t.Fatalf("%+v: %d leaves vs %d", cfg, len(got.leaves), len(want.leaves))
@@ -129,29 +172,33 @@ func TestFrontierResumeEquivalence(t *testing.T) {
 		side := c.SideLen()
 		fd := c.NewFrontierDescent()
 
+		track := newBoundsTracker(c)
+
 		// First pass at the strong threshold, capturing pruned nodes.
-		var frontier []Node
+		var frontier []NodeID
 		first := newScoreVisitor(cfg.dims, cfg.seed, cfg.tHi)
-		fd.Descend(c.RootNode(), cfg.depth, first, func(n Node) {
-			frontier = append(frontier, CopyNode(n, make([]uint32, 2*cfg.dims)))
-		})
+		fd.Descend(cfg.depth, frontierScore{first, c, func(id NodeID) {
+			frontier = append(frontier, id)
+		}})
 		leaves := append([]Interval(nil), first.leaves...)
 
 		// Resume each pruned node at the weak threshold.
 		for _, n := range frontier {
 			v := newScoreVisitor(cfg.dims, cfg.seed, cfg.tLo)
-			v.reseed(n, side)
+			fd.Seek(n, track)
+			v.reseed(track.lo, track.hi, side)
 			if v.prod <= cfg.tLo {
 				continue // still pruned at the weak threshold
 			}
-			fd.Descend(n, cfg.depth, v, nil)
+			fd.Descend(cfg.depth, frontierScore{v, c, nil})
 			leaves = append(leaves, v.leaves...)
 		}
 		sort.Slice(leaves, func(i, j int) bool { return leaves[i].Start.Less(leaves[j].Start) })
 
 		// Fresh descent at the weak threshold.
 		fresh := newScoreVisitor(cfg.dims, cfg.seed, cfg.tLo)
-		fd.Descend(c.RootNode(), cfg.depth, fresh, nil)
+		fd.Seek(RootID, track)
+		fd.Descend(cfg.depth, frontierScore{fresh, c, nil})
 
 		if len(fresh.leaves) != len(leaves) {
 			t.Fatalf("%+v: resumed %d leaves, fresh %d", cfg, len(leaves), len(fresh.leaves))
@@ -173,52 +220,114 @@ func TestFrontierLeafDepthNode(t *testing.T) {
 	c := MustNew(3, 3)
 	fd := c.NewFrontierDescent()
 
-	var nodes []Node
+	var nodes []NodeID
 	v := newScoreVisitor(3, 9, 1.0/32) // deep enough that some leaves prune
-	fd.Descend(c.RootNode(), 5, v, func(n Node) {
-		if n.Bits == 5 {
-			nodes = append(nodes, CopyNode(n, make([]uint32, 6)))
+	fd.Descend(5, frontierScore{v, c, func(id NodeID) {
+		if id.Depth() == 5 {
+			nodes = append(nodes, id)
 		}
-	})
+	}})
 	if len(nodes) == 0 {
 		t.Fatal("no depth-level nodes were pruned")
 	}
+	track := newBoundsTracker(c)
 	for _, n := range nodes {
 		leafV := newScoreVisitor(3, 9, -1)
-		fd.Descend(n, 5, leafV, nil)
+		fd.Seek(n, track)
+		fd.Descend(5, frontierScore{leafV, c, nil})
 		if len(leafV.leaves) != 1 {
 			t.Fatalf("depth-level resume emitted %d leaves", len(leafV.leaves))
 		}
-		want := c.NodeInterval(n)
-		if leafV.leaves[0] != want {
+		if want := c.IDSpan(n, n); leafV.leaves[0] != want {
 			t.Fatalf("leaf interval %+v, node interval %+v", leafV.leaves[0], want)
+		}
+	}
+}
+
+// TestSeekMatchesSplitNode checks Seek against the explicit node tree:
+// moving to every node, in depth-first and in shuffled order, reports
+// bounds equal to those SplitNode derives step by step, and a descent
+// from there enumerates exactly the node's own blocks.
+func TestSeekMatchesSplitNode(t *testing.T) {
+	for _, cfg := range []struct{ dims, order, depth int }{
+		{2, 3, 6}, {3, 2, 6}, {5, 2, 8}, {1, 6, 6},
+	} {
+		c := MustNew(cfg.dims, cfg.order)
+		type node struct {
+			n  Node
+			id NodeID
+		}
+		var nodes []node
+		var collect func(n Node, id NodeID)
+		collect = func(n Node, id NodeID) {
+			nodes = append(nodes, node{n, id})
+			if id.Depth() < cfg.depth {
+				for b, ch := range c.SplitNode(n) {
+					collect(ch, id<<1|NodeID(b))
+				}
+			}
+		}
+		collect(c.RootNode(), RootID)
+
+		fd := c.NewFrontierDescent()
+		track := newBoundsTracker(c)
+		r := rand.New(rand.NewSource(int64(cfg.dims)))
+		for pass := 0; pass < 2; pass++ {
+			for _, nd := range nodes {
+				fd.Seek(nd.id, track)
+				for j := range track.lo {
+					if track.lo[j] != nd.n.Lo[j] || track.hi[j] != nd.n.Hi[j] {
+						t.Fatalf("%+v pass %d: node %#x dim %d: seek [%d,%d), split [%d,%d)", cfg, pass,
+							uint64(nd.id), j, track.lo[j], track.hi[j], nd.n.Lo[j], nd.n.Hi[j])
+					}
+				}
+				if got, want := c.IDSpan(nd.id, nd.id), c.NodeInterval(nd.n); got != want {
+					t.Fatalf("%+v: node %#x interval %+v, want %+v", cfg, uint64(nd.id), got, want)
+				}
+				all := newScoreVisitor(cfg.dims, 0, -1)
+				fd.Descend(cfg.depth, frontierScore{all, c, nil})
+				span := c.NodeInterval(nd.n)
+				if want := 1 << (cfg.depth - nd.id.Depth()); len(all.leaves) != want ||
+					all.leaves[0].Start != span.Start || all.leaves[len(all.leaves)-1].End != span.End {
+					t.Fatalf("%+v: descent below node %#x emitted %d leaves, want %d tiling %+v",
+						cfg, uint64(nd.id), len(all.leaves), want, span)
+				}
+			}
+			r.Shuffle(len(nodes), func(a, b int) { nodes[a], nodes[b] = nodes[b], nodes[a] })
 		}
 	}
 }
 
 // TestFrontierDepthPanics checks the depth validation.
 func TestFrontierDepthPanics(t *testing.T) {
-	c := MustNew(2, 2)
-	fd := c.NewFrontierDescent()
-	root := c.RootNode()
-	for _, depth := range []int{-1, c.IndexBits() + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("depth %d accepted", depth)
-				}
-			}()
-			fd.Descend(root, depth, newScoreVisitor(2, 0, -1), nil)
-		}()
-	}
-	// Depth below the node's own bits must also panic.
-	kids := c.SplitNode(root)
-	func() {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Error("depth below node bits accepted")
+				t.Errorf("%s accepted", what)
 			}
 		}()
-		fd.Descend(kids[0], 0, newScoreVisitor(2, 0, -1), nil)
-	}()
+		f()
+	}
+	c := MustNew(2, 2)
+	fd := c.NewFrontierDescent()
+	for _, depth := range []int{-1, c.IndexBits() + 1} {
+		mustPanic(fmt.Sprintf("depth %d", depth), func() {
+			fd.Descend(depth, frontierScore{newScoreVisitor(2, 0, -1), c, nil})
+		})
+	}
+	// Depth below the node's own bits must also panic.
+	track := newBoundsTracker(c)
+	fd.Seek(RootID<<1|1, track)
+	mustPanic("depth below node bits", func() {
+		fd.Descend(0, frontierScore{newScoreVisitor(2, 0, -1), c, nil})
+	})
+	mustPanic("node below the curve's index bits", func() { fd.Seek(RootID<<5, track) })
+	mustPanic("node id 0", func() { fd.Seek(0, track) })
+	// The paper's curve has 160 index bits, but node ids hold 63.
+	big := MustNew(20, 8)
+	fdBig := big.NewFrontierDescent()
+	mustPanic("depth 64", func() {
+		fdBig.Descend(MaxFrontierDepth+1, frontierScore{newScoreVisitor(20, 0, 2), big, nil})
+	})
 }

@@ -131,6 +131,35 @@ func (s state) next(w uint64, n uint) state {
 	}
 }
 
+// split returns, for the child taking curve bit b of a node walked in
+// level state s with q within-level bits wp already consumed, the
+// dimension that step halves and whether the child keeps its upper half.
+// Within a level the bits are the binary rank w of the Gray-coded,
+// state-transformed cell label: bit b introduces Gray bit
+// g[D-1-q] = w[D-1-q] ^ w[D-q], which pins one label bit.
+func (s state) split(q int, wp, b uint64, n uint) (dim int, upper bool) {
+	prev := uint64(0)
+	if q > 0 {
+		prev = wp & 1
+	}
+	// Label bit position = dimension: (D-1-q + d+1) mod D, where both
+	// q and d are below D.
+	posL := n - uint(q) + s.d
+	if posL >= n {
+		posL -= n
+	}
+	return int(posL), (b^prev)^((s.e>>posL)&1) == 1
+}
+
+// advance returns the walk state (level state, q, wp) of that child.
+func (s state) advance(q int, wp, b uint64, n uint) (state, int, uint64) {
+	w := wp<<1 | b
+	if q+1 == int(n) {
+		return s.next(w, n), 0, 0
+	}
+	return s, q + 1, w
+}
+
 // transform maps a cell label (bit j = high/low half of dimension j) to
 // its position along the curve ordering of the current level.
 func (s state) transform(label uint64, n uint) uint64 {

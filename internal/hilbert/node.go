@@ -44,38 +44,20 @@ func (c *Curve) SplitNode(n Node) [2]Node {
 	nd := uint(c.dims)
 	var out [2]Node
 	for b := uint64(0); b <= 1; b++ {
-		prev := uint64(0)
-		if n.q > 0 {
-			prev = n.wp & 1
-		}
-		gbit := b ^ prev
-		posG := nd - 1 - uint(n.q)
-		posL := (posG + n.st.d + 1) % nd
-		lbit := gbit ^ ((n.st.e >> posL) & 1)
-
 		child := Node{
 			Lo:     append([]uint32(nil), n.Lo...),
 			Hi:     append([]uint32(nil), n.Hi...),
 			Prefix: n.Prefix.Shl(1).OrLowBits(b),
 			Bits:   n.Bits + 1,
 		}
-		dim := int(posL)
+		dim, upper := n.st.split(n.q, n.wp, b, nd)
 		mid := (n.Lo[dim] + n.Hi[dim]) / 2
-		if lbit == 1 {
+		if upper {
 			child.Lo[dim] = mid
 		} else {
 			child.Hi[dim] = mid
 		}
-		if n.q+1 == int(nd) {
-			w := n.wp<<1 | b
-			child.st = n.st.next(w, nd)
-			child.q = 0
-			child.wp = 0
-		} else {
-			child.st = n.st
-			child.q = n.q + 1
-			child.wp = n.wp<<1 | b
-		}
+		child.st, child.q, child.wp = n.st.advance(n.q, n.wp, b, nd)
 		out[b] = child
 	}
 	return out

@@ -13,15 +13,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"s3cbcd/internal/core"
+	"s3cbcd/internal/faultfs"
+	"s3cbcd/internal/hilbert"
+	"s3cbcd/internal/store"
 )
 
 // gateSearcher is a core.Searcher whose searches block until released
@@ -194,6 +199,75 @@ func TestDeadlineHeaderExpiredRealEngine(t *testing.T) {
 	}
 	if _, hasMatches := out["matches"]; hasMatches {
 		t.Fatalf("expired deadline returned matches: %v", out)
+	}
+}
+
+// An exact k-NN traversal checks the propagated deadline as it goes: a
+// budget that expires mid-traversal aborts it with the retryable 503
+// long before it has read every block. Reads of the one cold segment
+// are slowed so the deadline passes early in the walk.
+func TestDeadlineHeaderAbortsMidKNNTraversal(t *testing.T) {
+	var slow atomic.Bool
+	var reads atomic.Int64
+	fs := faultfs.New(store.OSFS, func(op faultfs.Op, _ string, _ int) faultfs.Action {
+		if op == faultfs.OpReadAt && slow.Load() {
+			reads.Add(1)
+			time.Sleep(2 * time.Millisecond)
+		}
+		return faultfs.Pass
+	})
+	curve := hilbert.MustNew(8, 8)
+	li, err := core.OpenLiveIndex(curve, t.TempDir(), core.LiveOptions{
+		Depth: 10, MemtableRecords: 1000, ColdRecords: 1, Cache: store.NewBlockCache(1), FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	r := rand.New(rand.NewSource(5))
+	recs := make([]store.Record, 600)
+	for i := range recs {
+		fp := make([]byte, 8)
+		r.Read(fp)
+		recs[i] = store.Record{FP: fp, ID: uint32(i), TC: uint32(i)}
+	}
+	if err := li.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := li.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := li.Stats(); st.ColdSegments != 1 {
+		t.Fatalf("want one cold segment, got %+v", st)
+	}
+	ts := httptest.NewServer(NewLive(li, Options{}))
+	defer ts.Close()
+	body := `{"fingerprint":[1,2,3,4,5,6,7,8],"k":600}`
+
+	// A full traversal (k = every record) and the reads it takes.
+	slow.Store(true)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/search/knn", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, out := do(t, req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("full traversal: status %d: %v", resp.StatusCode, out)
+	}
+	full := reads.Swap(0)
+
+	req, err = http.NewRequest(http.MethodPost, ts.URL+"/search/knn", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(DeadlineHeader, strconv.FormatInt(time.Now().Add(20*time.Millisecond).UnixMilli(), 10))
+	resp, out := do(t, req)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("mid-traversal expiry: status %d, want 503: %v", resp.StatusCode, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "deadline") {
+		t.Fatalf("mid-traversal abort error %q does not name the deadline", msg)
+	}
+	if got := reads.Load(); got >= full {
+		t.Fatalf("aborted traversal read %d blocks, a full one %d: it did not stop mid-way", got, full)
 	}
 }
 

@@ -839,6 +839,19 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	reply(w, resp)
 }
 
+// MaxKNN is the largest k a k-NN request may ask for. Answers that
+// large belong to range and statistical queries; an unbounded k would
+// let one request size a backend's result buffers.
+const MaxKNN = 10000
+
+// CheckKNN rejects a k-NN request's k outside [1, MaxKNN].
+func CheckKNN(k int) error {
+	if k < 1 || k > MaxKNN {
+		return fmt.Errorf("k = %d outside [1,%d]", k, MaxKNN)
+	}
+	return nil
+}
+
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode(w, r)
 	if !ok {
@@ -846,6 +859,10 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	fp, err := s.fingerprint(req.Fingerprint)
 	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := CheckKNN(req.K); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

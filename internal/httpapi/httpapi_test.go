@@ -159,6 +159,9 @@ func TestBadRequests(t *testing.T) {
 		{"/search/statistical", map[string]interface{}{"fingerprint": []int{1, 2, 3, 4, 5, 6, 7, 300}, "alpha": 0.5, "sigma": 5}},
 		{"/search/range", map[string]interface{}{"fingerprint": fpOf(db, 0), "epsilon": -4}},
 		{"/search/knn", map[string]interface{}{"fingerprint": fpOf(db, 0), "k": 0}},
+		// An absurd k used to size the result heap: 2^40 killed the process.
+		{"/search/knn", map[string]interface{}{"fingerprint": fpOf(db, 0), "k": 1 << 40}},
+		{"/search/knn", map[string]interface{}{"fingerprint": fpOf(db, 0), "k": MaxKNN + 1}},
 	}
 	for i, c := range cases {
 		resp, out := post(t, ts, c.path, c.body)
@@ -383,5 +386,20 @@ func TestInFlightBound(t *testing.T) {
 	}
 	if unbounded.sem != nil {
 		t.Fatal("negative MaxInFlight still bounded")
+	}
+}
+
+// The largest accepted k answers with every record, bounded by the
+// index rather than by k.
+func TestKNNMaxKReturnsEveryRecord(t *testing.T) {
+	s, db := testServer(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, out := post(t, ts, "/search/knn", map[string]interface{}{"fingerprint": fpOf(db, 0), "k": MaxKNN})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k = MaxKNN: status %d: %+v", resp.StatusCode, out)
+	}
+	if n := len(out["matches"].([]interface{})); n != db.Len() {
+		t.Fatalf("k = MaxKNN returned %d matches, want all %d records", n, db.Len())
 	}
 }

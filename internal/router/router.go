@@ -264,13 +264,13 @@ func New(opt Options) (*Router, error) {
 	r.handle("GET /healthz", "/healthz", r.handleHealthz)
 	r.handle("GET /stats", "/stats", r.handleStats)
 	r.handle("POST /search/statistical", "/search/statistical",
-		r.search("/search/statistical", func() any { return new(statReply) }, r.mergeStat))
+		r.search("/search/statistical", func() any { return new(statReply) }, r.mergeStat, nil))
 	r.handle("POST /search/statistical/batch", "/search/statistical/batch",
-		r.search("/search/statistical/batch", func() any { return new(batchReply) }, r.mergeBatch))
+		r.search("/search/statistical/batch", func() any { return new(batchReply) }, r.mergeBatch, nil))
 	r.handle("POST /search/range", "/search/range",
-		r.search("/search/range", func() any { return new(rangeReply) }, r.mergeRange))
+		r.search("/search/range", func() any { return new(rangeReply) }, r.mergeRange, nil))
 	r.handle("POST /search/knn", "/search/knn",
-		r.search("/search/knn", func() any { return new(knnReply) }, r.mergeKNN))
+		r.search("/search/knn", func() any { return new(knnReply) }, r.mergeKNN, admitKNN))
 
 	if opt.ProbeInterval > 0 {
 		r.startProber(opt.ProbeInterval)
@@ -478,7 +478,22 @@ func (r *Router) finishTrace(route string, tr *obs.Trace, err error) obs.TraceRe
 }
 
 // search builds the scatter/gather handler for one search route.
-func (r *Router) search(path string, newOut func() any, merge mergeFn) http.HandlerFunc {
+// admitKNN rejects a k-NN request whose k the backends would refuse,
+// before any of them is asked. A body that does not parse is left to
+// the backends, which answer it with their own 400.
+func admitKNN(body []byte) error {
+	var req struct {
+		K int `json:"k"`
+	}
+	if json.Unmarshal(body, &req) != nil {
+		return nil
+	}
+	return httpapi.CheckKNN(req.K)
+}
+
+// search returns the handler of one scatter/gather route. admit, when
+// non-nil, vets the request body at admission: an error answers 400.
+func (r *Router) search(path string, newOut func() any, merge mergeFn, admit func(body []byte) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		t0 := time.Now()
 		// Admission: take a slot now or shed now. The router never queues
@@ -528,6 +543,13 @@ func (r *Router) search(path string, newOut func() any, merge mergeFn) http.Hand
 			r.finishTrace(path, tr, errors.New("request body too large"))
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBody)
 			return
+		}
+		if admit != nil {
+			if err := admit(body); err != nil {
+				r.finishTrace(path, tr, err)
+				httpError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
 		}
 
 		ctx := req.Context()

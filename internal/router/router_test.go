@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -599,5 +600,30 @@ func TestMetricsEndpointRendersRouterFamilies(t *testing.T) {
 		if !bytes.Contains(raw, []byte(family)) {
 			t.Errorf("/metrics missing family %s", family)
 		}
+	}
+}
+
+// An absurd k is refused at admission with 400, before any backend is
+// asked: forwarded, k = 2^40 used to size a backend's result heap and
+// kill it, and a retry would have taken its siblings down too.
+func TestRouterRejectsAbsurdK(t *testing.T) {
+	var hits atomic.Int64
+	be := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, `{"error":"unexpected"}`, http.StatusInternalServerError)
+	}))
+	defer be.Close()
+	_, rts := startRouter(t, Options{Groups: [][]string{{be.URL}}, ProbeInterval: -1})
+
+	fp := fpJSON(make([]byte, testCurve(t).Dims()))
+	for _, k := range []int64{0, httpapi.MaxKNN + 1, 1 << 40} {
+		body := fmt.Sprintf(`{"fingerprint":%s,"k":%d}`, fp, k)
+		code, raw, _ := postBytes(t, rts.URL, "/search/knn", body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("k = %d: status %d (%s), want 400", k, code, raw)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("rejected requests reached the backend %d times", n)
 	}
 }

@@ -43,35 +43,3 @@ func BenchmarkDecideFewIDs(b *testing.B) {
 		Decide(cands, cfg)
 	}
 }
-
-// TestGroupByID pins the grouping semantics the estimator depends on:
-// per-identifier observations in candidate order, one obs per candidate,
-// refs complete.
-func TestGroupByID(t *testing.T) {
-	cands := []Candidate{
-		{TC: 10, X: 1, Y: 2, Matches: []Match{{ID: 5, TC: 100}, {ID: 5, TC: 200}, {ID: 9, TC: 300}}},
-		{TC: 20, Matches: []Match{{ID: 9, TC: 400}}},
-		{TC: 30, Matches: []Match{{ID: 5, TC: 500}}},
-	}
-	groups := groupByID(cands)
-	if len(groups) != 2 || groups[0].id != 5 || groups[1].id != 9 {
-		t.Fatalf("groups: %+v", groups)
-	}
-	g5 := groups[0]
-	if len(g5.obs) != 2 {
-		t.Fatalf("id 5 obs: %+v", g5.obs)
-	}
-	if len(g5.obs[0].refs) != 2 || g5.obs[0].tcQ != 10 || g5.obs[0].qx != 1 {
-		t.Fatalf("id 5 first obs: %+v", g5.obs[0])
-	}
-	if len(g5.obs[1].refs) != 1 || g5.obs[1].tcQ != 30 {
-		t.Fatalf("id 5 second obs: %+v", g5.obs[1])
-	}
-	g9 := groups[1]
-	if len(g9.obs) != 2 || g9.obs[0].refs[0].tc != 300 || g9.obs[1].refs[0].tc != 400 {
-		t.Fatalf("id 9 obs: %+v", g9.obs)
-	}
-	if got := groupByID(nil); len(got) != 0 {
-		t.Fatalf("empty grouping: %+v", got)
-	}
-}
