@@ -5,11 +5,12 @@ GO ?= go
 # its counters and histograms are written from every engine goroutine.
 RACE_PKGS = . ./internal/core ./internal/store ./internal/httpapi ./internal/cbcd ./internal/obs ./internal/router
 
-.PHONY: check vet build test race cover bench bench-shard bench-plan bench-cold bench-sketch bench-plancache bench-router bench-obs faults chaos-router
+.PHONY: check vet build test perfbench race cover bench bench-shard bench-plan bench-cold bench-sketch bench-plancache bench-router bench-obs faults chaos-router
 
 # check is the full verification gate: static checks, build, all tests,
-# then the race detector over the engine packages.
-check: vet build test race
+# the benchmark module's vet and tests, then the race detector over the
+# engine packages.
+check: vet build test perfbench race
 
 # vet is go vet plus the metric-name lint: every exported s3_* family
 # must be constructed at exactly one site and documented in
@@ -23,6 +24,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench vets and tests the benchmark harness, a separate Go module
+# that builds against this one: a core API change that breaks the
+# benchmark's build fails here, not in the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -16,29 +16,9 @@ import (
 type planner struct {
 	curve *hilbert.Curve
 	depth int
-	// scratch pools the frontier planner's working state (mass cache,
-	// frontier and leaf buffers) for the stateless plan entry points, so
-	// concurrent PlanStat calls stay allocation-light without sharing
-	// state. The engine's per-worker query contexts hold their own.
-	scratch sync.Pool // *planScratch
-}
-
-// planScratch is one pooled set of planning buffers.
-type planScratch struct {
-	mc *massCache
-	fs *frontierState
-}
-
-func (pl *planner) getScratch() *planScratch {
-	if v := pl.scratch.Get(); v != nil {
-		ps := v.(*planScratch)
-		ps.mc.reset()
-		return ps
-	}
-	return &planScratch{
-		mc: newMassCache(pl.dims(), pl.curve.SideLen()),
-		fs: newFrontierState(pl.curve),
-	}
+	// ctxs pools query contexts (planning scratch; see getCtx), so
+	// concurrent queries stay allocation-light without sharing state.
+	ctxs sync.Pool // *queryContext
 }
 
 // dims returns the fingerprint dimension.

@@ -6,11 +6,12 @@ package core
 // growing TV-archive scenario the paper's deployment implies but its
 // static structure cannot serve.
 //
-// The design exploits the same property the sharded engine does: a plan
-// (statistical or geometric) depends only on the curve geometry and the
-// partition depth, never on the record data. One plan per query is
-// therefore valid against every segment, and refinement fans out across
-// an atomic snapshot of immutable curve-ordered segments:
+// The design exploits the property the static Engine does, through the
+// same snapshot executor (executor.go): a plan (statistical or
+// geometric) depends only on the curve geometry and the partition
+// depth, never on the record data. One plan per query is therefore
+// valid against every segment, and refinement runs over an atomic
+// snapshot of immutable curve-ordered segments:
 //
 //   - a small *memtable* segment absorbs Ingest batches (rebuilt by a
 //     linear canonical merge — cheap while it stays below the seal
@@ -82,30 +83,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"s3cbcd/internal/bitkey"
 	"s3cbcd/internal/hilbert"
 	"s3cbcd/internal/obs"
 	"s3cbcd/internal/store"
-)
-
-// Searcher is the query surface shared by the static Engine and the
-// LiveIndex, letting serving layers (httpapi, cbcd.Detector) run over
-// either a frozen archive or a growing one.
-type Searcher interface {
-	SearchStat(ctx context.Context, q []byte, sq StatQuery) ([]Match, Plan, error)
-	SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error)
-	SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error)
-	SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error)
-}
-
-var (
-	_ Searcher = (*Engine)(nil)
-	_ Searcher = (*LiveIndex)(nil)
 )
 
 // ErrClosed is returned by operations on a closed LiveIndex.
@@ -258,61 +242,9 @@ func (o LiveOptions) withDefaults(curve *hilbert.Curve) LiveOptions {
 	return o
 }
 
-// liveSegment is one immutable piece of a snapshot: a curve-ordered
-// record set plus the tombstone mask hiding deleted videos. Exactly one
-// of db (resident) and cold (disk-backed through the block cache) is
-// set. Segments are never mutated — tombstone growth replaces the
-// struct (copy-on-write), so a loaded snapshot stays coherent forever.
-type liveSegment struct {
-	db   *store.DB           // resident records; nil when cold
-	cold *store.ColdFile     // cold-tier records; nil when resident
-	name string              // manifest file name; "" for the memtable
-	tomb map[uint32]struct{} // masked video ids; nil or empty for none
-	live int                 // records not masked
-	// sketch is the segment's occupancy summary, consulted before
-	// refinement to skip the whole segment; nil when sketches are off (or
-	// for the mutable memtable, which is never summarized).
-	sketch *store.Sketch
-}
-
-func (s *liveSegment) masked(id uint32) bool {
-	_, dead := s.tomb[id]
-	return dead
-}
-
-// maskFn returns the tombstone predicate refinement filters with, nil
-// when the segment has no tombstones.
-func (s *liveSegment) maskFn() func(uint32) bool {
-	if len(s.tomb) == 0 {
-		return nil
-	}
-	tomb := s.tomb
-	return func(id uint32) bool {
-		_, dead := tomb[id]
-		return dead
-	}
-}
-
-// source returns the seam refinement visits the segment's records
-// through.
-func (s *liveSegment) source() store.RecordSource {
-	if s.cold != nil {
-		return s.cold
-	}
-	return s.db
-}
-
-// records returns the segment's stored record count (masked included).
-func (s *liveSegment) records() int {
-	if s.cold != nil {
-		return s.cold.Len()
-	}
-	return s.db.Len()
-}
-
 // countID counts the segment's stored records of one video identifier.
 // Cold segments scan their file (bypassing the cache).
-func (s *liveSegment) countID(id uint32) (int, error) {
+func (s *segment) countID(id uint32) (int, error) {
 	if s.cold != nil {
 		return s.cold.CountID(id)
 	}
@@ -321,26 +253,26 @@ func (s *liveSegment) countID(id uint32) (int, error) {
 
 // sameData reports whether two segment wrappers carry the same record
 // set (tombstone growth replaces the wrapper but keeps the data).
-func (s *liveSegment) sameData(o *liveSegment) bool {
+func (s *segment) sameData(o *segment) bool {
 	return s.db == o.db && s.cold == o.cold
 }
 
 // withTombstone returns a copy of the segment with id masked; n is the
 // segment's stored count of that id (precomputed so cold segments scan
 // once).
-func (s *liveSegment) withTombstone(id uint32, n int) *liveSegment {
+func (s *segment) withTombstone(id uint32, n int) *segment {
 	tomb := make(map[uint32]struct{}, len(s.tomb)+1)
 	for k := range s.tomb {
 		tomb[k] = struct{}{}
 	}
 	tomb[id] = struct{}{}
-	return &liveSegment{db: s.db, cold: s.cold, name: s.name, tomb: tomb,
+	return &segment{db: s.db, cold: s.cold, name: s.name, tomb: tomb,
 		live: s.live - n, sketch: s.sketch}
 }
 
 // compacted returns the segment's surviving records as an in-memory
 // database; a cold segment's records are bulk-loaded (cache bypassed).
-func (s *liveSegment) compacted() (*store.DB, error) {
+func (s *segment) compacted() (*store.DB, error) {
 	db := s.db
 	if s.cold != nil {
 		var err error
@@ -354,36 +286,19 @@ func (s *liveSegment) compacted() (*store.DB, error) {
 	return store.Filter(db, func(id, _ uint32) bool { return !s.masked(id) }), nil
 }
 
-// liveSnapshot is one immutable view of the index: sealed segments
-// (oldest first) plus the memtable. Readers obtain it with a single
-// atomic load; writers publish a successor with a strictly larger
-// generation.
-type liveSnapshot struct {
-	gen  uint64
-	segs []*liveSegment
-	mem  *liveSegment
-}
-
-// all returns every segment of the snapshot, memtable last.
-func (s *liveSnapshot) all() []*liveSegment {
-	out := make([]*liveSegment, 0, len(s.segs)+1)
-	out = append(out, s.segs...)
-	if s.mem.db.Len() > 0 {
-		out = append(out, s.mem)
-	}
-	return out
-}
-
 // LiveIndex is a segmented S³ index supporting concurrent ingest and
 // query with background compaction. All query methods are safe for
 // concurrent use with each other and with Ingest/DeleteVideo/Compact.
 type LiveIndex struct {
-	pl  planner
+	// executor runs every query against a loaded snapshot; its plan
+	// cache (keyed by snapshot generation) and tuner (depth pinned) are
+	// attached from LiveOptions.
+	executor
 	opt LiveOptions
 	dir string // "" = memory-only
 	fs  store.FS
 
-	snap atomic.Pointer[liveSnapshot]
+	snap atomic.Pointer[snapshot]
 	// mu serializes writers (Ingest, DeleteVideo, Flush, Close and the
 	// commit phase of a compaction). Readers never take it.
 	mu sync.Mutex
@@ -435,13 +350,6 @@ type LiveIndex struct {
 	met     liveMetrics
 	coldCtr *store.ColdCounters
 	log     *slog.Logger
-
-	// cache memoizes statistical plans keyed on (query, α, model,
-	// tuning, snapshot generation); nil when LiveOptions.PlanCache is
-	// off. tuner adapts the threshold-search schedule (never the depth);
-	// nil when LiveOptions.AutoTune is off.
-	cache *planCache
-	tuner *autoTuner
 }
 
 // OpenLiveIndex opens (or creates) a live index over the given curve.
@@ -453,32 +361,27 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 	if err := checkDepth(curve, opt.Depth); err != nil {
 		return nil, err
 	}
-	li := &LiveIndex{pl: planner{curve: curve, depth: opt.Depth}, opt: opt, dir: dir,
-		fs: opt.FS, closedCh: make(chan struct{}), pending: make(map[string]struct{}),
-		met: newLiveMetrics(), coldCtr: store.NewColdCounters(), log: opt.Logger}
+	li := &LiveIndex{executor: newExecutor(&planner{curve: curve, depth: opt.Depth}, opt.Workers),
+		opt: opt, dir: dir, fs: opt.FS, closedCh: make(chan struct{}),
+		pending: make(map[string]struct{}), met: newLiveMetrics(),
+		coldCtr: store.NewColdCounters(), log: opt.Logger}
+	li.seg = li.met.segmentMetrics
+	li.pinDepth = true
 	if opt.PlanCache {
-		// The record set churns, so the cache buckets keys with value-only
-		// uniform cells: assignments stay comparable across snapshots.
-		qz, err := store.UniformQuantizer(curve.Dims(), store.DefaultCodecBits)
-		if err != nil {
-			return nil, err
-		}
-		li.cache = newPlanCache(qz, opt.PlanCacheEntries)
+		li.enablePlanCache(opt.PlanCacheEntries)
 	}
 	if opt.AutoTune.Enabled {
-		at := opt.AutoTune
-		at.TuneDepth = false // sketches are built at the shared depth
-		li.tuner = newAutoTuner(at, li.pl.defaultTuning(), opt.Depth, opt.Depth)
+		li.enableAutoTune(opt.AutoTune)
 	}
 	var (
-		segs []*liveSegment
+		segs []*segment
 		gen  uint64
 	)
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		closeColds := func(ss []*liveSegment) {
+		closeColds := func(ss []*segment) {
 			for _, s := range ss {
 				if s.cold != nil {
 					s.cold.Close()
@@ -490,7 +393,7 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 				return fmt.Errorf("manifest geometry D=%d K=%d, index wants D=%d K=%d",
 					m.Dims, m.Order, curve.Dims(), curve.Order())
 			}
-			loaded := make([]*liveSegment, 0, len(m.Segments))
+			loaded := make([]*segment, 0, len(m.Segments))
 			// A rejected manifest must not leak the descriptors of cold
 			// segments it managed to open before the validation failure.
 			defer func() {
@@ -499,7 +402,7 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 				}
 			}()
 			for _, si := range m.Segments {
-				seg := &liveSegment{name: si.Name}
+				seg := &segment{name: si.Name}
 				var segCurve *hilbert.Curve
 				if li.coldEligible(si.Count) {
 					cf, err := li.openCold(si.Name)
@@ -571,7 +474,7 @@ func OpenLiveIndex(curve *hilbert.Curve, dir string, opt LiveOptions) (*LiveInde
 	if err != nil {
 		return nil, err
 	}
-	li.snap.Store(&liveSnapshot{gen: gen, segs: segs, mem: &liveSegment{db: empty}})
+	li.snap.Store(&snapshot{gen: gen, segs: segs, mem: &segment{db: empty}})
 	li.log.Info("live index opened", "dir", dir, "gen", gen, "segments", len(segs))
 	return li, nil
 }
@@ -789,15 +692,15 @@ func (li *LiveIndex) Ingest(recs []store.Record) error {
 	if err != nil {
 		return err
 	}
-	next := &liveSnapshot{gen: cur.gen + 1, segs: cur.segs, mem: &liveSegment{db: memDB, live: memDB.Len()}}
+	next := &snapshot{gen: cur.gen + 1, segs: cur.segs, mem: &segment{db: memDB, live: memDB.Len()}}
 	if memDB.Len() >= li.opt.MemtableRecords {
 		if err := li.sealInto(next); err != nil {
 			// The seal failed (segment write or manifest commit). The batch
 			// is still accepted: republish with the grown memtable — the
 			// records stay query-visible in memory — record the failure, and
 			// let the background loop retry the seal with backoff.
-			next = &liveSnapshot{gen: cur.gen + 1, segs: cur.segs,
-				mem: &liveSegment{db: memDB, live: memDB.Len()}}
+			next = &snapshot{gen: cur.gen + 1, segs: cur.segs,
+				mem: &segment{db: memDB, live: memDB.Len()}}
 			li.notePersistFailure(err, true)
 		}
 	}
@@ -814,12 +717,12 @@ func (li *LiveIndex) Ingest(recs []store.Record) error {
 // holds mu; next is not yet published. The file write happens under mu
 // but is bounded by the memtable seal threshold, unlike a compaction's
 // (which therefore runs off the lock).
-func (li *LiveIndex) sealInto(next *liveSnapshot) error {
+func (li *LiveIndex) sealInto(next *snapshot) error {
 	if next.mem.db.Len() == 0 {
 		return nil
 	}
 	t0 := time.Now()
-	seg := &liveSegment{db: next.mem.db, live: next.mem.db.Len(),
+	seg := &segment{db: next.mem.db, live: next.mem.db.Len(),
 		sketch: li.buildSketch(next.mem.db)}
 	if li.dir != "" {
 		seg.name = li.nextSegName()
@@ -828,12 +731,12 @@ func (li *LiveIndex) sealInto(next *liveSnapshot) error {
 			return err
 		}
 	}
-	next.segs = append(append([]*liveSegment{}, next.segs...), seg)
+	next.segs = append(append([]*segment{}, next.segs...), seg)
 	empty, err := store.Build(li.pl.curve, nil)
 	if err != nil {
 		return err
 	}
-	next.mem = &liveSegment{db: empty}
+	next.mem = &segment{db: empty}
 	if err := li.commitLocked(next); err != nil {
 		// Best-effort removal of the segment file written for the failed
 		// commit (mirroring compact's cleanup): each background retry
@@ -876,7 +779,7 @@ func (li *LiveIndex) Flush() error {
 	if cur.mem.db.Len() == 0 {
 		return nil
 	}
-	next := &liveSnapshot{gen: cur.gen + 1, segs: cur.segs, mem: cur.mem}
+	next := &snapshot{gen: cur.gen + 1, segs: cur.segs, mem: cur.mem}
 	if err := li.sealInto(next); err != nil {
 		// The sealed snapshot was never published, so durable state does
 		// not lag the published one: nothing is owed (marking it owed would
@@ -907,7 +810,7 @@ func (li *LiveIndex) DeleteVideo(id uint32) error {
 	}
 	cur := li.snap.Load()
 	changed := false
-	segs := make([]*liveSegment, len(cur.segs))
+	segs := make([]*segment, len(cur.segs))
 	for i, s := range cur.segs {
 		segs[i] = s
 		if s.masked(id) {
@@ -927,13 +830,13 @@ func (li *LiveIndex) DeleteVideo(id uint32) error {
 	mem := cur.mem
 	if mem.db.ContainsID(id) {
 		fdb := store.Filter(mem.db, func(rid, _ uint32) bool { return rid != id })
-		mem = &liveSegment{db: fdb, live: fdb.Len()}
+		mem = &segment{db: fdb, live: fdb.Len()}
 		changed = true
 	}
 	if !changed {
 		return nil
 	}
-	next := &liveSnapshot{gen: cur.gen + 1, segs: segs, mem: mem}
+	next := &snapshot{gen: cur.gen + 1, segs: segs, mem: mem}
 	if err := li.commitLocked(next); err != nil {
 		// The tombstones could not be committed, but the delete is still
 		// honored in memory: publish the masked snapshot so queries stop
@@ -952,7 +855,7 @@ func (li *LiveIndex) DeleteVideo(id uint32) error {
 // predecessor manifest — kept as the recovery fallback — still names
 // survive until a later commit prunes it). The caller holds mu;
 // memory-only indexes commit nothing.
-func (li *LiveIndex) commitLocked(s *liveSnapshot) error {
+func (li *LiveIndex) commitLocked(s *snapshot) error {
 	if li.dir == "" {
 		return nil
 	}
@@ -1145,7 +1048,7 @@ func (li *LiveIndex) persistLocked() error {
 	}
 	cur := li.snap.Load()
 	if cur.mem.db.Len() >= li.opt.MemtableRecords {
-		next := &liveSnapshot{gen: cur.gen + 1, segs: cur.segs, mem: cur.mem}
+		next := &snapshot{gen: cur.gen + 1, segs: cur.segs, mem: cur.mem}
 		if err := li.sealInto(next); err != nil {
 			return err
 		}
@@ -1316,15 +1219,15 @@ func (li *LiveIndex) compact() error {
 			}
 		}
 	}
-	next := &liveSnapshot{gen: cur.gen + 1, mem: cur.mem}
-	var base []*liveSegment
+	next := &snapshot{gen: cur.gen + 1, mem: cur.mem}
+	var base []*segment
 	if merged.Len() > 0 {
-		seg := &liveSegment{db: merged, name: name, tomb: delta, live: merged.Len(),
+		seg := &segment{db: merged, name: name, tomb: delta, live: merged.Len(),
 			sketch: li.buildSketch(merged)}
 		for id := range delta {
 			seg.live -= merged.CountID(id)
 		}
-		base = []*liveSegment{seg}
+		base = []*segment{seg}
 	}
 	next.segs = append(base, cur.segs[k:]...)
 	if err := li.commitLocked(next); err != nil {
@@ -1380,7 +1283,7 @@ func (li *LiveIndex) Close() error {
 	}
 	var err error
 	if cur := li.snap.Load(); cur.mem.db.Len() > 0 && li.dir != "" {
-		next := &liveSnapshot{gen: cur.gen + 1, segs: cur.segs, mem: cur.mem}
+		next := &snapshot{gen: cur.gen + 1, segs: cur.segs, mem: cur.mem}
 		if err = li.sealInto(next); err == nil {
 			li.snap.Store(next)
 		} else {
@@ -1408,263 +1311,20 @@ func (li *LiveIndex) Close() error {
 	return err
 }
 
-// segMatch pairs a match with its Hilbert key for the canonical merge
-// across segments.
-type segMatch struct {
-	key bitkey.Key
-	m   Match
-}
-
-// segMatchLess is the canonical result order: key, then ID, TC, X, Y —
-// the same total order store.Build lays records out in, which is what
-// makes merged live results identical to a monolithic index's scan.
-func segMatchLess(a, b *segMatch) bool {
-	if c := a.key.Cmp(b.key); c != 0 {
-		return c < 0
-	}
-	if a.m.ID != b.m.ID {
-		return a.m.ID < b.m.ID
-	}
-	if a.m.TC != b.m.TC {
-		return a.m.TC < b.m.TC
-	}
-	if a.m.X != b.m.X {
-		return a.m.X < b.m.X
-	}
-	return a.m.Y < b.m.Y
-}
-
-// mergeCanonical k-way merges per-segment match lists (each already
-// canonically ordered) into one canonically ordered result. Returns nil
-// for no matches, matching the engine's convention.
-func mergeCanonical(lists [][]segMatch) []Match {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Match, 0, total)
-	idx := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for l := range lists {
-			if idx[l] >= len(lists[l]) {
-				continue
-			}
-			if best == -1 || segMatchLess(&lists[l][idx[l]], &lists[best][idx[best]]) {
-				best = l
-			}
-		}
-		out = append(out, lists[best][idx[best]].m)
-		idx[best]++
-	}
-	return out
-}
-
-// skipBySketch reports whether the segment's sketch proves the plan's
-// intervals hold none of its records, counting the consultation. A nil
-// sketch (sketches off, the memtable, or a pre-sketch segment) never
-// skips.
-func (li *LiveIndex) skipBySketch(s *liveSegment, ivs []hilbert.Interval) bool {
-	if s.sketch == nil {
-		return false
-	}
-	li.met.sketchConsults.Inc()
-	if s.sketch.MayIntersect(ivs) {
-		return false
-	}
-	li.met.segmentsSkipped.Inc()
-	return true
-}
-
-// refineStatSnap refines one plan against every segment of a snapshot,
-// resident or cold, through the RecordSource seam. Segments whose sketch
-// proves the plan misses them are skipped before any record is visited.
-func (li *LiveIndex) refineStatSnap(snap *liveSnapshot, plan Plan) ([]Match, error) {
-	segs := snap.all()
-	lists := make([][]segMatch, len(segs))
-	for i, s := range segs {
-		if li.skipBySketch(s, plan.Intervals) {
-			continue
-		}
-		ms, err := statMatchesSource(s.source(), s.maskFn(), plan)
-		if err != nil {
-			return nil, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
-		}
-		lists[i] = ms
-	}
-	return mergeCanonical(lists), nil
-}
-
-// liveTuning resolves the parameters the next plan runs at.
-func (li *LiveIndex) liveTuning() tuning {
-	if li.tuner != nil {
-		return *li.tuner.current()
-	}
-	return li.pl.defaultTuning()
-}
-
-// planFor computes the statistical plan for one query against snap,
-// serving it from the plan cache when one is attached. The snapshot
-// generation keys the cache, so a plan cached before any ingest, delete
-// or compaction can never be returned afterwards.
-func (li *LiveIndex) planFor(ctx context.Context, snap *liveSnapshot, q []byte, qf []float64, sq StatQuery) Plan {
-	tn := li.liveTuning()
-	if pc := li.cache; pc != nil {
-		if planCacheBypassed(ctx) {
-			pc.noteBypass()
-		} else if mkey, keyable := modelPlanKey(sq.Model); keyable {
-			if plan, ok := pc.plan(ctx, q, sq.Alpha, mkey, snap.gen, tn, func() Plan {
-				return li.pl.planStatFloatTuned(qf, sq, tn)
-			}); ok {
-				return plan
-			}
-		} else {
-			pc.noteBypass()
-		}
-	}
-	return li.pl.planStatFloatTuned(qf, sq, tn)
-}
-
-// PlanCacheStats reports the plan cache; false when disabled.
-func (li *LiveIndex) PlanCacheStats() (PlanCacheStats, bool) {
-	if li.cache == nil {
-		return PlanCacheStats{}, false
-	}
-	return li.cache.statsSnapshot(), true
-}
-
-// AutoTuneStats reports the online tuner; false when disabled.
-func (li *LiveIndex) AutoTuneStats() (AutoTuneStats, bool) {
-	if li.tuner == nil {
-		return AutoTuneStats{}, false
-	}
-	return li.tuner.statsSnapshot(), true
-}
-
 // SearchStat executes a statistical query against the current snapshot:
 // one plan against the shared curve, refined across every segment, with
 // results merged in canonical order. Pos fields are segment-local.
 func (li *LiveIndex) SearchStat(ctx context.Context, q []byte, sq StatQuery) ([]Match, Plan, error) {
-	if err := sq.validate(li.pl.dims()); err != nil {
-		return nil, Plan{}, err
-	}
-	qf, err := queryPoint(q, li.pl.dims())
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Plan{}, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.noteQuery(snap)
-	tr := obs.FromContext(ctx)
-	t0 := time.Now()
-	plan := li.planFor(ctx, snap, q, qf, sq)
-	if tr != nil {
-		id := tr.StageSince("plan", t0)
-		tr.Annotate(id, "blocks", strconv.Itoa(plan.Blocks))
-		tr.Annotate(id, "descentNodes", strconv.Itoa(plan.DescentNodes))
-	}
-	tr.AddDescentNodes(int64(plan.DescentNodes))
-	tr.AddBlocks(int64(plan.Blocks))
-	t1 := time.Now()
-	ms, err := li.refineStatSnap(snap, plan)
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	if tr != nil {
-		id := tr.StageSince("refine", t1)
-		tr.Annotate(id, "candidates", strconv.Itoa(len(ms)))
-		tr.Annotate(id, "segments", strconv.Itoa(snapSegments(snap)))
-	}
-	tr.AddCandidates(int64(len(ms)))
-	tr.AddSegments(int64(snapSegments(snap)))
-	if li.tuner != nil {
-		li.tuner.observe(t1.Sub(t0), time.Since(t1))
-	}
-	return ms, plan, nil
-}
-
-// noteQuery counts one query against snap into the live metrics.
-func (li *LiveIndex) noteQuery(snap *liveSnapshot) {
-	li.met.queries.Inc()
-	li.met.querySegments.Observe(float64(snapSegments(snap)))
-}
-
-// snapSegments counts the segments a query against snap visits (the
-// memtable included when non-empty), without materializing snap.all().
-func snapSegments(snap *liveSnapshot) int {
-	n := len(snap.segs)
-	if snap.mem.db.Len() > 0 {
-		n++
-	}
-	return n
+	return li.search(ctx, li.snap.Load(), q, &planned{sq: sq})
 }
 
 // SearchRange executes an ε-range query against the current snapshot.
 func (li *LiveIndex) SearchRange(ctx context.Context, q []byte, eps float64) ([]Match, Plan, error) {
-	if eps < 0 {
-		return nil, Plan{}, fmt.Errorf("core: negative range radius %v", eps)
-	}
-	qf, err := queryPoint(q, li.pl.dims())
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Plan{}, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.noteQuery(snap)
-	tr := obs.FromContext(ctx)
-	t0 := time.Now()
-	plan := li.pl.planRangeFloat(qf, eps)
-	if tr != nil {
-		id := tr.StageSince("plan", t0)
-		tr.Annotate(id, "blocks", strconv.Itoa(plan.Blocks))
-		tr.Annotate(id, "descentNodes", strconv.Itoa(plan.DescentNodes))
-	}
-	tr.AddDescentNodes(int64(plan.DescentNodes))
-	tr.AddBlocks(int64(plan.Blocks))
-	t1 := time.Now()
-	segs := snap.all()
-	lists := make([][]segMatch, len(segs))
-	skipped := 0
-	for i, s := range segs {
-		// The component envelope bounds the distance to every record of the
-		// segment from below: a box further than eps holds no match. The
-		// occupancy filter then proves curve non-intersection. Both bounds
-		// are one-sided, so skipping cannot change the answer.
-		if s.sketch != nil {
-			li.met.sketchConsults.Inc()
-			if s.sketch.EnvelopeMinDistSq(qf) > eps*eps || !s.sketch.MayIntersect(plan.Intervals) {
-				li.met.segmentsSkipped.Inc()
-				skipped++
-				continue
-			}
-		}
-		sms, err := rangeMatchesSource(s.source(), qf, eps, s.maskFn(), plan)
-		if err != nil {
-			return nil, Plan{}, fmt.Errorf("core: refine of segment %s: %w", s.name, err)
-		}
-		lists[i] = sms
-	}
-	ms := mergeCanonical(lists)
-	if tr != nil {
-		id := tr.StageSince("refine", t1)
-		tr.Annotate(id, "matches", strconv.Itoa(len(ms)))
-		tr.Annotate(id, "segments", strconv.Itoa(len(segs)))
-		tr.Annotate(id, "segmentsSkipped", strconv.Itoa(skipped))
-	}
-	tr.AddCandidates(int64(len(ms)))
-	tr.AddSegments(int64(len(segs)))
-	return ms, plan, nil
+	return li.search(ctx, li.snap.Load(), q, &planned{geo: true, eps: eps})
 }
 
 // SearchKNN answers a k-NN query against the current snapshot: an exact
@@ -1673,69 +1333,9 @@ func (li *LiveIndex) SearchRange(ctx context.Context, q []byte, eps float64) ([]
 // distance. Ties at equal distance order deterministically by
 // (ID, TC, X, Y).
 func (li *LiveIndex) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) ([]Match, KNNStats, error) {
-	if k < 1 {
-		return nil, KNNStats{}, fmt.Errorf("core: k = %d must be >= 1", k)
-	}
-	if _, err := queryPoint(q, li.pl.dims()); err != nil {
-		return nil, KNNStats{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, KNNStats{}, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.noteQuery(snap)
-	t0 := time.Now()
-	var (
-		all   []Match
-		stats KNNStats
-	)
-	stats.Exact = true
-	for _, seg := range snap.all() {
-		if seg.records() == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, KNNStats{}, err
-		}
-		var keep func(uint32) bool
-		if masked := seg.maskFn(); masked != nil {
-			keep = func(id uint32) bool { return !masked(id) }
-		}
-		ms, st, err := searchKNNSource(ctx, li.pl.curve, li.pl.depth, seg.source(), q, k, maxLeaves, keep)
-		if err != nil {
-			return nil, KNNStats{}, fmt.Errorf("core: refine of segment %s: %w", seg.name, err)
-		}
-		stats.Leaves += st.Leaves
-		stats.Scanned += st.Scanned
-		stats.Exact = stats.Exact && st.Exact
-		all = append(all, ms...)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Dist != all[b].Dist {
-			return all[a].Dist < all[b].Dist
-		}
-		if all[a].ID != all[b].ID {
-			return all[a].ID < all[b].ID
-		}
-		if all[a].TC != all[b].TC {
-			return all[a].TC < all[b].TC
-		}
-		if all[a].X != all[b].X {
-			return all[a].X < all[b].X
-		}
-		return all[a].Y < all[b].Y
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.StageSince("knn", t0)
-		tr.AddCandidates(int64(stats.Scanned))
-		tr.AddSegments(int64(snapSegments(snap)))
-	}
-	return all, stats, nil
+	return li.searchKNN(ctx, li.snap.Load(), q, k, maxLeaves)
 }
 
 // SearchStatBatch pipelines many statistical queries across the worker
@@ -1743,34 +1343,7 @@ func (li *LiveIndex) SearchKNN(ctx context.Context, q []byte, k, maxLeaves int) 
 // view even while ingest continues. results[i] corresponds to
 // queries[i].
 func (li *LiveIndex) SearchStatBatch(ctx context.Context, queries [][]byte, sq StatQuery) ([][]Match, error) {
-	if err := sq.validate(li.pl.dims()); err != nil {
-		return nil, err
-	}
 	li.queryGate.RLock()
 	defer li.queryGate.RUnlock()
-	snap := li.snap.Load()
-	li.met.queries.Add(int64(len(queries)))
-	results := make([][]Match, len(queries))
-	err := forEach(ctx, li.opt.Workers, len(queries), nil, func(_ *struct{}, i int) error {
-		qf, err := queryPoint(queries[i], li.pl.dims())
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		t0 := time.Now()
-		plan := li.planFor(ctx, snap, queries[i], qf, sq)
-		t1 := time.Now()
-		ms, err := li.refineStatSnap(snap, plan)
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		if li.tuner != nil {
-			li.tuner.observe(t1.Sub(t0), time.Since(t1))
-		}
-		results[i] = ms
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return li.searchBatch(ctx, li.snap.Load(), queries, &planned{sq: sq})
 }

@@ -4,12 +4,13 @@ import (
 	"s3cbcd/internal/obs"
 )
 
-// engineMetrics are the query engine's instruments: the plan/refine
+// engineMetrics are the query executor's instruments: the plan/refine
 // split of every query (the paper's filtering vs refinement cost), the
 // partition-tree work the planner performs, and the selectivity of the
-// plans it emits. They are created unregistered at NewEngine — updating
-// them is a few atomics, so the engine always counts — and published
-// into a registry by Engine.RegisterMetrics (one engine per registry).
+// plans it emits. They are created unregistered with the executor (at
+// NewEngine or OpenLiveIndex) — updating them is a few atomics, so the
+// executor always counts — and published into a registry by the
+// owner's RegisterMetrics (one executor per registry).
 type engineMetrics struct {
 	plans         *obs.Counter
 	descentNodes  *obs.Counter
@@ -51,32 +52,51 @@ func newEngineMetrics() engineMetrics {
 	}
 }
 
+// registerMetrics publishes the executor's metrics, its worker bound
+// and the plan cache and tuner when attached into r.
+func (x *executor) registerMetrics(r *obs.Registry) {
+	r.MustRegister(x.met.plans, x.met.descentNodes, x.met.planSeconds,
+		x.met.planBlocks, x.met.refineSeconds, x.met.candidates,
+		x.met.statQueries, x.met.rangeQueries, x.met.knnQueries,
+		x.met.batchQueries, x.met.inflight)
+	r.GaugeFunc("s3_engine_workers", "engine worker bound",
+		func() float64 { return float64(x.workers) })
+	if x.cache != nil {
+		x.cache.RegisterMetrics(r)
+	}
+	if x.tuner != nil {
+		x.tuner.RegisterMetrics(r)
+	}
+}
+
 // RegisterMetrics publishes the engine's metrics, plus gauges describing
 // its static shape, into r. Call at most once per registry.
 func (e *Engine) RegisterMetrics(r *obs.Registry) {
-	r.MustRegister(e.met.plans, e.met.descentNodes, e.met.planSeconds,
-		e.met.planBlocks, e.met.refineSeconds, e.met.candidates,
-		e.met.statQueries, e.met.rangeQueries, e.met.knnQueries,
-		e.met.batchQueries, e.met.inflight)
-	r.GaugeFunc("s3_engine_workers", "engine worker bound",
-		func() float64 { return float64(e.workers) })
+	e.registerMetrics(r)
 	r.GaugeFunc("s3_engine_shards", "keyspace shard count",
-		func() float64 { return float64(len(e.shards)) })
+		func() float64 { return float64(e.Shards()) })
 	r.GaugeFunc("s3_engine_records", "records in the served database",
 		func() float64 { return float64(e.ix.db.Len()) })
-	if e.cache != nil {
-		e.cache.RegisterMetrics(r)
-	}
-	if e.tuner != nil {
-		e.tuner.RegisterMetrics(r)
-	}
+}
+
+// segmentMetrics are the live index's query-side instruments, moved by
+// the executor while it serves segmented snapshots: queries and the
+// segments each visits, and sketch consultations and skips. A static
+// engine leaves them nil, which every obs instrument treats as a no-op.
+type segmentMetrics struct {
+	queries         *obs.Counter
+	querySegments   *obs.Histogram
+	sketchConsults  *obs.Counter
+	segmentsSkipped *obs.Counter
 }
 
 // liveMetrics are the live index's instruments: LSM shape and write-path
 // latencies (seal, manifest commit, compaction), plus the persistence
-// retry/degraded machinery's state. Created unregistered at
-// OpenLiveIndex; published by LiveIndex.RegisterMetrics.
+// retry/degraded machinery's state and the query-side segmentMetrics.
+// Created unregistered at OpenLiveIndex; published by
+// LiveIndex.RegisterMetrics.
 type liveMetrics struct {
+	segmentMetrics
 	ingested        *obs.Counter
 	deletes         *obs.Counter
 	compactions     *obs.Counter
@@ -88,10 +108,6 @@ type liveMetrics struct {
 	sealSeconds     *obs.Histogram
 	commitSeconds   *obs.Histogram
 	compactSeconds  *obs.Histogram
-	queries         *obs.Counter
-	querySegments   *obs.Histogram
-	sketchConsults  *obs.Counter
-	segmentsSkipped *obs.Counter
 }
 
 func newLiveMetrics() liveMetrics {
@@ -118,20 +134,22 @@ func newLiveMetrics() liveMetrics {
 			"wall time of a durable manifest commit", obs.LatencyBuckets()),
 		compactSeconds: obs.NewHistogram("s3_live_compaction_seconds",
 			"wall time of a committed compaction (merge, segment write and commit)", obs.LatencyBuckets()),
-		queries: obs.NewCounter("s3_live_queries_total",
-			"queries served against live snapshots (batch included)"),
-		querySegments: obs.NewHistogram("s3_live_query_segments",
-			"segments visited per query (memtable included)", obs.SizeBuckets()),
-		sketchConsults: obs.NewCounter("s3_live_sketch_consults_total",
-			"segment sketch consultations before refinement"),
-		segmentsSkipped: obs.NewCounter("s3_live_segments_skipped_total",
-			"segments skipped because their sketch proved the plan misses them"),
+		segmentMetrics: segmentMetrics{
+			queries: obs.NewCounter("s3_live_queries_total",
+				"queries served against live snapshots (batch included)"),
+			querySegments: obs.NewHistogram("s3_live_query_segments",
+				"segments visited per query (memtable included)", obs.SizeBuckets()),
+			sketchConsults: obs.NewCounter("s3_live_sketch_consults_total",
+				"segment sketch consultations before refinement"),
+			segmentsSkipped: obs.NewCounter("s3_live_segments_skipped_total",
+				"segments skipped because their sketch proved the plan misses them"),
+		},
 	}
 }
 
 // RegisterMetrics publishes the live index's metrics, plus gauges
-// reading the current snapshot's shape, into r. Call at most once per
-// registry.
+// reading the current snapshot's shape and the executor's s3_engine_*
+// instruments, into r. Call at most once per registry.
 func (li *LiveIndex) RegisterMetrics(r *obs.Registry) {
 	r.MustRegister(li.met.ingested, li.met.deletes, li.met.compactions,
 		li.met.persistFailures, li.met.persistRetries, li.met.degradedTrips,
@@ -194,10 +212,5 @@ func (li *LiveIndex) RegisterMetrics(r *obs.Registry) {
 			}
 			return 0
 		})
-	if li.cache != nil {
-		li.cache.RegisterMetrics(r)
-	}
-	if li.tuner != nil {
-		li.tuner.RegisterMetrics(r)
-	}
+	li.registerMetrics(r)
 }

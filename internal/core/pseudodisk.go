@@ -96,21 +96,14 @@ func (di *DiskIndex) SearchStatBatch(queries [][]byte, sq StatQuery, budgetRecor
 	// pool; each worker reuses one query context across its share.
 	t0 := time.Now()
 	plans := make([]Plan, len(queries))
-	mkCtx := func() *queryContext {
-		return &queryContext{
-			qf: make([]float64, di.dims()),
-			mc: newMassCache(di.dims(), di.curve.SideLen()),
-			fs: newFrontierState(di.curve),
-		}
-	}
-	err := forEach(context.Background(), di.workers, len(queries), mkCtx, func(qc *queryContext, i int) error {
+	err := forEach(context.Background(), di.workers, len(queries), di.getCtx, func(qc *queryContext, i int) error {
 		if err := qc.setQuery(queries[i]); err != nil {
 			return fmt.Errorf("query %d: %w", i, err)
 		}
 		qc.mc.reset()
 		plans[i] = di.planStatFrontier(qc.qf, sq, qc.mc, qc.fs)
 		return nil
-	})
+	}, di.putCtx)
 	if err != nil {
 		return nil, BatchStats{}, err
 	}

@@ -20,47 +20,38 @@ import (
 	"s3cbcd/internal/store"
 )
 
-// statMatchesSource refines a statistical plan against one source: every
-// record in the plan's intervals is an answer (the region is the
+// statMatchesSource refines a statistical plan's intervals against one
+// source into sk: every record in them is an answer (the region is the
 // answer). masked, when non-nil, hides tombstoned video ids. Pos is
 // source-local.
-func statMatchesSource(src store.RecordSource, masked func(uint32) bool, plan Plan) ([]segMatch, error) {
-	var out []segMatch
+func statMatchesSource(src store.RecordSource, masked func(uint32) bool, ivs []hilbert.Interval, sk *matchSink) error {
 	visit := func(rv store.RecordView) bool {
-		if masked != nil && masked(rv.ID) {
-			return true
+		sk.scanned++
+		if masked == nil || !masked(rv.ID) {
+			sk.add(rv, -1)
 		}
-		out = append(out, segMatch{key: rv.Key, m: Match{
-			Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: -1}})
 		return true
 	}
 	// Statistical answers never carry fingerprints; a source with a lean
 	// record layout (a codec-bearing cold segment) serves the same views
 	// at a fraction of the bytes.
-	var err error
 	if ls, ok := src.(store.LeanSource); ok {
-		err = ls.VisitIntervalsLean(plan.Intervals, visit)
-	} else {
-		err = src.VisitIntervals(plan.Intervals, visit)
+		return ls.VisitIntervalsLean(ivs, visit)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return src.VisitIntervals(ivs, visit)
 }
 
-// rangeMatchesSource refines a geometric plan against one source,
-// keeping records within eps of the query point.
-func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, plan Plan) ([]segMatch, error) {
+// rangeMatchesSource refines a geometric plan's intervals against one
+// source into sk, keeping records within eps of the query point.
+func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, masked func(uint32) bool, ivs []hilbert.Interval, sk *matchSink) error {
 	epsSq := eps * eps
-	var out []segMatch
 	visit := func(rv store.RecordView) bool {
+		sk.scanned++
 		if masked != nil && masked(rv.ID) {
 			return true
 		}
 		if d := distSqToFP(qf, rv.FP); d <= epsSq {
-			out = append(out, segMatch{key: rv.Key, m: Match{
-				Pos: rv.Pos, ID: rv.ID, TC: rv.TC, X: rv.X, Y: rv.Y, Dist: math.Sqrt(d)}})
+			sk.add(rv, math.Sqrt(d))
 		}
 		return true
 	}
@@ -68,16 +59,10 @@ func rangeMatchesSource(src store.RecordSource, qf []float64, eps float64, maske
 	// quantized codes without exact bytes. The filter is conservative
 	// (over-visits, never under-visits) and the exact distance check above
 	// stays, so the matches are identical either way.
-	var err error
 	if fs, ok := src.(store.FilteredSource); ok {
-		err = fs.VisitIntervalsFiltered(plan.Intervals, qf, epsSq, visit)
-	} else {
-		err = src.VisitIntervals(plan.Intervals, visit)
+		return fs.VisitIntervalsFiltered(ivs, qf, epsSq, visit)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return src.VisitIntervals(ivs, visit)
 }
 
 // knnCheckLeaves is how many leaves a k-NN traversal refines between

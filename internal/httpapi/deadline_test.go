@@ -271,6 +271,88 @@ func TestDeadlineHeaderAbortsMidKNNTraversal(t *testing.T) {
 	}
 }
 
+// Statistical and range refinement check the propagated deadline
+// between segments: on a live index whose cold segments read slowly, a
+// budget that expires mid-refine aborts with the retryable 503 before
+// every segment has been read.
+func TestDeadlineHeaderAbortsMidSegmentRefine(t *testing.T) {
+	var slow atomic.Bool
+	var reads atomic.Int64
+	fs := faultfs.New(store.OSFS, func(op faultfs.Op, _ string, _ int) faultfs.Action {
+		if op == faultfs.OpReadAt && slow.Load() {
+			reads.Add(1)
+			time.Sleep(5 * time.Millisecond)
+		}
+		return faultfs.Pass
+	})
+	curve := hilbert.MustNew(8, 8)
+	li, err := core.OpenLiveIndex(curve, t.TempDir(), core.LiveOptions{
+		Depth: 10, MemtableRecords: 1000, CompactSegments: 1000, ColdRecords: 1,
+		Cache: store.NewBlockCache(1), FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer li.Close()
+	r := rand.New(rand.NewSource(6))
+	const segments = 10
+	for s := 0; s < segments; s++ {
+		recs := make([]store.Record, 80)
+		for i := range recs {
+			fp := make([]byte, 8)
+			r.Read(fp)
+			recs[i] = store.Record{FP: fp, ID: uint32(s), TC: uint32(i)}
+		}
+		if err := li.Ingest(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := li.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := li.Stats(); st.ColdSegments != segments {
+		t.Fatalf("want %d cold segments, got %+v", segments, st)
+	}
+	ts := httptest.NewServer(NewLive(li, Options{}))
+	defer ts.Close()
+
+	for _, tc := range []struct{ path, body string }{
+		// Both queries cover the whole curve, so a full refine reads
+		// every segment.
+		{"/search/statistical", `{"fingerprint":[128,128,128,128,128,128,128,128],"alpha":0.99,"sigma":2000}`},
+		{"/search/range", `{"fingerprint":[128,128,128,128,128,128,128,128],"eps":1000}`},
+	} {
+		slow.Store(true)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, out := do(t, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s full refine: status %d: %v", tc.path, resp.StatusCode, out)
+		}
+		full := reads.Swap(0)
+		if full < segments {
+			t.Fatalf("%s full refine read %d blocks, fewer than its %d segments", tc.path, full, segments)
+		}
+
+		req, err = http.NewRequest(http.MethodPost, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(DeadlineHeader, strconv.FormatInt(time.Now().Add(20*time.Millisecond).UnixMilli(), 10))
+		resp, out := do(t, req)
+		slow.Store(false)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s mid-refine expiry: status %d, want 503: %v", tc.path, resp.StatusCode, out)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "deadline") {
+			t.Fatalf("%s mid-refine abort error %q does not name the deadline", tc.path, msg)
+		}
+		if got := reads.Swap(0); got >= full {
+			t.Fatalf("%s aborted refine read %d blocks, a full one %d: it did not stop mid-way", tc.path, got, full)
+		}
+	}
+}
+
 // A malformed deadline header is a client defect: 400, not silently
 // ignored.
 func TestDeadlineHeaderMalformed(t *testing.T) {

@@ -566,26 +566,24 @@ func autoTuneJSON(st core.AutoTuneStats, ok bool) map[string]interface{} {
 	}
 }
 
+// planReporter is the plan cache and tuner report of the core
+// executor, which static engines and live indexes share.
+type planReporter interface {
+	PlanCacheStats() (core.PlanCacheStats, bool)
+	AutoTuneStats() (core.AutoTuneStats, bool)
+}
+
 // cacheTuneFields folds the searcher's plan cache and tuner groups into
-// a response body (both s.eng and s.live expose the same accessors).
+// a response body.
 func (s *Server) cacheTuneFields(body map[string]interface{}) {
-	var (
-		pcs  core.PlanCacheStats
-		ats  core.AutoTuneStats
-		pcOK bool
-		atOK bool
-	)
-	if s.live != nil {
-		pcs, pcOK = s.live.PlanCacheStats()
-		ats, atOK = s.live.AutoTuneStats()
-	} else {
-		pcs, pcOK = s.eng.PlanCacheStats()
-		ats, atOK = s.eng.AutoTuneStats()
+	pr, ok := s.search.(planReporter)
+	if !ok {
+		return
 	}
-	if m := planCacheJSON(pcs, pcOK); m != nil {
+	if m := planCacheJSON(pr.PlanCacheStats()); m != nil {
 		body["planCache"] = m
 	}
-	if m := autoTuneJSON(ats, atOK); m != nil {
+	if m := autoTuneJSON(pr.AutoTuneStats()); m != nil {
 		body["autotune"] = m
 	}
 }
